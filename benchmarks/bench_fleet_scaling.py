@@ -135,12 +135,10 @@ def _run_scale(devices: int) -> dict:
 def _equivalence_check() -> dict:
     """Serial, queue-executor, and scalar runs must render byte-identical
     reports."""
-    from repro.core.fastpath import (
-        batching_enabled,
-        disable_batching,
-        enable_batching,
-    )
+    from unittest import mock
+
     from repro.fleet import FleetEngine, QueueFleetExecutor
+    from repro.fleet.work import run_device_reference
 
     spec = _build_spec(64)
     serial = FleetEngine(spec, cache=None).run()
@@ -154,13 +152,10 @@ def _equivalence_check() -> dict:
         serial.to_text() == queued.to_text()
         and serial.to_json() == queued.to_json()
     )
-    restore = batching_enabled()
-    disable_batching()
-    try:
+    # The serial engine runs shards in-process, so patching the module
+    # attribute routes every device through the scalar reference loop.
+    with mock.patch("repro.fleet.work.run_device", run_device_reference):
         scalar = FleetEngine(spec, cache=None).run()
-    finally:
-        if restore:
-            enable_batching()
     scalar_identical = (
         serial.to_text() == scalar.to_text()
         and serial.to_json() == scalar.to_json()

@@ -29,7 +29,6 @@ from typing import List, Optional
 from repro.analysis.experiments import EXPERIMENTS, run_experiment
 from repro.core.config import SnipConfig
 from repro.core.devreport import build_developer_report
-from repro.core.fastpath import disable_batching
 from repro.core.profiler import CloudProfiler
 from repro.core.runtime import SnipRuntime
 from repro.core.serialization import dump_table, load_table
@@ -65,11 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="SNIP (IISWC 2020) reproduction toolkit",
-    )
-    parser.add_argument(
-        "--no-batch", action="store_true",
-        help="run the scalar reference pipelines instead of the columnar "
-             "fast path (outputs are byte-identical either way)",
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
@@ -137,12 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--duration", type=float, default=10.0)
     fleet.add_argument("--seed", type=int, default=0)
     fleet.add_argument("--jobs", type=int, default=1)
-    fleet.add_argument(
-        "--executor", choices=("auto", "serial", "process", "queue"),
-        default="auto", dest="executor_kind",
-        help="execution backend: auto picks serial/process from --jobs; "
-             "queue bounds in-flight work for huge fleets",
-    )
     fleet.add_argument("--shard-size", type=int, default=8)
     fleet.add_argument(
         "--max-live-shards", type=int, default=None, metavar="N",
@@ -518,7 +506,7 @@ def _cmd_fleet(args, out) -> int:
     telemetry = TelemetryBus()
     if args.progress:
         telemetry.subscribe(progress_printer(sys.stderr))
-    executor = make_executor(args.jobs, kind=args.executor_kind)
+    executor = make_executor(args.jobs)
     max_live = (
         args.max_live_shards
         if args.max_live_shards is not None
@@ -865,8 +853,6 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
     """CLI entry point; returns the process exit code."""
     out = out or sys.stdout
     args = build_parser().parse_args(argv)
-    if args.no_batch:
-        disable_batching()
     handlers = {
         "list-games": lambda: _cmd_list_games(out),
         "session": lambda: _cmd_session(args, out),

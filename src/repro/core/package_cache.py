@@ -19,7 +19,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -28,6 +27,7 @@ from repro.core.config import SnipConfig
 from repro.core.overrides import DeveloperOverrides
 from repro.core.serialization import package_from_bytes, package_to_bytes
 from repro.errors import CacheError, MemoizationError
+from repro.storage import atomic_write
 
 #: Bump on incompatible changes to the cache entry layout itself (the
 #: pipeline code is content-hashed separately, see :func:`code_digest`).
@@ -171,12 +171,7 @@ class PackageCache:
         try:
             self.root.mkdir(parents=True, exist_ok=True)
             count = self.corrupt_evictions() + 1
-            fd, staged = tempfile.mkstemp(
-                prefix=f".{EVICTIONS_NAME}.", suffix=".tmp", dir=self.root
-            )
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(f"{count}\n")
-            os.replace(staged, counter)
+            atomic_write(counter, f"{count}\n".encode("utf-8"))
         except OSError:
             # Diagnostics must never turn an evicted miss into a crash.
             pass
@@ -193,19 +188,7 @@ class PackageCache:
         path = self.path_for(key)
         try:
             self.root.mkdir(parents=True, exist_ok=True)
-            fd, staged = tempfile.mkstemp(
-                prefix=f".{key}.", suffix=".tmp", dir=self.root
-            )
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    handle.write(package_to_bytes(package))
-                os.replace(staged, path)
-            except BaseException:
-                try:
-                    os.unlink(staged)
-                except OSError:
-                    pass
-                raise
+            atomic_write(path, package_to_bytes(package))
         except OSError as exc:
             raise CacheError(f"cannot write package cache entry {path}: {exc}") from exc
         return path

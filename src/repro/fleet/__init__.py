@@ -23,7 +23,6 @@ from repro.fleet.engine import (
 from repro.fleet.executors import (
     DEFAULT_RETRY_BUDGET,
     FleetExecutor,
-    ProcessFleetExecutor,
     QueueFleetExecutor,
     SerialExecutor,
     make_executor,
@@ -39,11 +38,7 @@ from repro.fleet.reducers import (
     FleetTotals,
     TotalsAccumulator,
     canonical_device_results,
-    reduce_census,
-    reduce_cohort_totals,
     reduce_contributions,
-    reduce_energy,
-    reduce_totals,
 )
 from repro.fleet.spec import FleetSpec, Shard
 from repro.fleet.telemetry import TelemetryBus, TelemetryEvent, progress_printer
@@ -66,7 +61,6 @@ __all__ = [
     "FleetReport",
     "FleetSpec",
     "FleetTotals",
-    "ProcessFleetExecutor",
     "QueueFleetExecutor",
     "SerialExecutor",
     "Shard",
@@ -79,11 +73,7 @@ __all__ = [
     "make_executor",
     "peak_rss_bytes",
     "progress_printer",
-    "reduce_census",
-    "reduce_cohort_totals",
     "reduce_contributions",
-    "reduce_energy",
-    "reduce_totals",
     "run_device",
     "run_fleet",
     "run_shard",

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
 import pickle
 from pathlib import Path
 from typing import Dict, List, Optional, Union
@@ -28,6 +27,7 @@ from typing import Dict, List, Optional, Union
 from repro.errors import CheckpointError
 from repro.fleet.spec import FLEET_FORMAT_VERSION, FleetSpec
 from repro.fleet.work import ShardResult
+from repro.storage import atomic_write, exclusive_create
 
 MANIFEST_NAME = "manifest.json"
 SHARD_DIR = "shards"
@@ -78,7 +78,7 @@ class CheckpointStore:
                 "spec": dataclasses.asdict(spec),
             }
             try:
-                self._exclusive_write(
+                exclusive_create(
                     self.manifest_path,
                     json.dumps(manifest, indent=2, sort_keys=True).encode(),
                 )
@@ -133,7 +133,7 @@ class CheckpointStore:
     def save(self, result: ShardResult) -> Path:
         """Persist one shard result atomically."""
         path = self.shard_path(result.shard_index)
-        self._atomic_write(path, pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL))
+        atomic_write(path, pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL))
         return path
 
     def load(self, index: int) -> ShardResult:
@@ -213,34 +213,6 @@ class CheckpointStore:
         if not isinstance(manifest, dict):
             return
         manifest["corrupt_evictions"] = self.corrupt_evictions
-        self._atomic_write(
+        atomic_write(
             self.manifest_path, json.dumps(manifest, indent=2, sort_keys=True).encode()
         )
-
-    # -- plumbing ----------------------------------------------------------
-
-    @staticmethod
-    def _atomic_write(path: Path, data: bytes) -> None:
-        tmp = path.with_suffix(path.suffix + ".tmp")
-        tmp.write_bytes(data)
-        os.replace(tmp, path)
-
-    @staticmethod
-    def _exclusive_write(path: Path, data: bytes) -> None:
-        """Publish ``path`` exactly once across concurrent writers.
-
-        The payload is staged under an ``O_EXCL`` temp name and linked
-        into place; :class:`FileExistsError` propagates to whichever
-        writer loses the race (a plain rename would silently clobber).
-        """
-        tmp = path.with_suffix(path.suffix + f".create.{os.getpid()}.tmp")
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(data)
-            os.link(tmp, path)
-        finally:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass

@@ -1,4 +1,4 @@
-"""Execution backends for fleet work: serial, pool, and bounded queue.
+"""Execution backends for fleet work: serial and bounded-queue pool.
 
 Every executor implements the same contract: run a picklable function
 over an indexed sequence of payloads and **stream** ``(index, result)``
@@ -11,8 +11,8 @@ self-contained and results carry their index, the choice of executor
 need payload-ordered lists use :meth:`FleetExecutor.run`, which slots
 the stream by index.
 
-:class:`QueueFleetExecutor` is the fleet-scale backend: it keeps a
-bounded submission window (``jobs * prefetch``) over the payload
+:class:`QueueFleetExecutor` is the multi-worker backend: it keeps a
+bounded submission window (``jobs * PREFETCH``) over the payload
 sequence instead of materialising every future upfront, so a million-
 device sweep holds only the in-flight tasks in memory, and it reports
 its backlog through ``queue_depth`` telemetry gauges.
@@ -21,12 +21,7 @@ its backlog through ``queue_depth`` telemetry gauges.
 from __future__ import annotations
 
 from collections import deque
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    ProcessPoolExecutor,
-    as_completed,
-    wait,
-)
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
@@ -43,10 +38,10 @@ from repro.fleet.telemetry import (
 #: Default cap on retries across one whole run (not per payload).
 DEFAULT_RETRY_BUDGET = 3
 
-#: Default submitted-but-unreduced window per worker for the queue
-#: executor: enough to keep workers busy while the reducer folds,
-#: small enough that in-flight results stay bounded.
-DEFAULT_PREFETCH = 2
+#: Submitted-but-unreduced payloads per worker for the queue executor:
+#: enough to keep workers busy while the reducer folds, small enough
+#: that in-flight results stay bounded.
+PREFETCH = 2
 
 
 class FleetExecutor:
@@ -115,7 +110,7 @@ class _RetryBudget:
 
 
 class SerialExecutor(FleetExecutor):
-    """In-process fallback sharing the pool executors' interface.
+    """In-process executor sharing the pool executor's interface.
 
     Used for ``--jobs 1``, for environments without usable process
     pools, and as the determinism reference the parallel paths are
@@ -158,113 +153,30 @@ class SerialExecutor(FleetExecutor):
                 break
 
 
-class ProcessFleetExecutor(FleetExecutor):
-    """``multiprocessing``-backed pool executor (eager submission).
-
-    Submits every payload upfront and streams results as they land.
-    Survives both worker exceptions (the payload is resubmitted) and
-    whole-pool crashes (the pool is rebuilt and every unfinished payload
-    resubmitted), each charged against the shared retry budget.
-    """
-
-    def __init__(self, jobs: int) -> None:
-        if jobs < 2:
-            raise FleetError(
-                f"ProcessFleetExecutor needs jobs >= 2, got {jobs}; "
-                "use SerialExecutor for single-worker runs"
-            )
-        self.jobs = jobs
-
-    def stream(
-        self,
-        fn: Callable[[Any], Any],
-        payloads: Sequence[Any],
-        telemetry: Optional[TelemetryBus] = None,
-        retry_budget: int = DEFAULT_RETRY_BUDGET,
-    ) -> Iterator[Tuple[int, Any]]:
-        budget = _RetryBudget(retry_budget)
-        pending = list(range(len(payloads)))
-        completed: set = set()
-        starts: dict = {}
-        while pending:
-            try:
-                with ProcessPoolExecutor(max_workers=self.jobs) as pool:
-                    futures = {}
-                    for index in pending:
-                        futures[pool.submit(fn, payloads[index])] = index
-                        if telemetry:
-                            starts[index] = telemetry.elapsed_seconds()
-                            telemetry.emit(SHARD_STARTED, shard_index=index)
-                    failed: List[int] = []
-                    outstanding = len(futures)
-                    for future in as_completed(futures):
-                        index = futures[future]
-                        outstanding -= 1
-                        try:
-                            result = future.result()
-                        except BrokenProcessPool:
-                            raise
-                        except Exception as exc:
-                            budget.spend(index, exc)
-                            if telemetry:
-                                telemetry.emit(
-                                    WORKER_FAILURE, shard_index=index, error=repr(exc)
-                                )
-                                telemetry.emit(SHARD_RETRIED, shard_index=index)
-                            failed.append(index)
-                            continue
-                        completed.add(index)
-                        wall_s = (
-                            telemetry.elapsed_seconds() - starts[index]
-                            if telemetry
-                            else None
-                        )
-                        _announce(telemetry, index, result, wall_s=wall_s)
-                        if telemetry:
-                            telemetry.emit(
-                                QUEUE_DEPTH, depth=outstanding + len(failed)
-                            )
-                        yield index, result
-                    pending = failed
-            except BrokenProcessPool as exc:
-                # A worker died hard (OOM-kill, segfault): every
-                # in-flight future fails at once. Rebuild the pool and
-                # resubmit whatever has no result yet, charging one
-                # retry for the crash rather than one per casualty.
-                budget.spend(None, exc)
-                pending = [index for index in pending if index not in completed]
-                if telemetry:
-                    telemetry.emit(WORKER_FAILURE, error="process pool crashed")
-                    for index in pending:
-                        telemetry.emit(SHARD_RETRIED, shard_index=index)
-
-
 class QueueFleetExecutor(FleetExecutor):
     """Queue-fed pool executor with a bounded in-flight window.
 
     Payloads are drawn from a FIFO backlog and at most
-    ``jobs * prefetch`` are submitted at once, so neither the futures
-    table nor the unreduced results can grow with the sweep size —
-    the backend the million-device benchmark runs on. Failed payloads
-    rejoin the backlog (charged to the shared retry budget) and pool
-    crashes rebuild the pool and resubmit the in-flight window, same
-    recovery semantics as :class:`ProcessFleetExecutor`. Emits
-    ``queue_depth`` gauges so the telemetry bus tracks how deep the
-    unprocessed queue ran.
+    ``jobs * PREFETCH`` are submitted at once, so neither the futures
+    table nor the unreduced results can grow with the sweep size.
+    Worker exceptions send the payload back to the backlog; a pool
+    crash (a worker killed outright) rebuilds the pool and puts every
+    payload submitted to the dead pool without a yielded result back
+    at the head of the backlog. Each failure, and each crash however
+    many payloads it took down, is charged once to the shared retry
+    budget. Emits ``queue_depth`` gauges so the telemetry bus tracks
+    how deep the unprocessed queue ran.
     """
 
-    def __init__(self, jobs: int, prefetch: int = DEFAULT_PREFETCH) -> None:
+    def __init__(self, jobs: int) -> None:
         if jobs < 1:
             raise FleetError(f"QueueFleetExecutor needs jobs >= 1, got {jobs}")
-        if prefetch < 1:
-            raise FleetError(f"prefetch must be positive, got {prefetch}")
         self.jobs = jobs
-        self.prefetch = prefetch
 
     @property
     def window(self) -> int:
         """Most payloads submitted-but-unreduced at any moment."""
-        return self.jobs * self.prefetch
+        return self.jobs * PREFETCH
 
     def stream(
         self,
@@ -275,16 +187,23 @@ class QueueFleetExecutor(FleetExecutor):
     ) -> Iterator[Tuple[int, Any]]:
         budget = _RetryBudget(retry_budget)
         backlog = deque(range(len(payloads)))
-        completed: set = set()
         starts: dict = {}
         while backlog:
+            # Every payload submitted to the current pool whose result
+            # has not been yielded: an index leaves only once its
+            # future's outcome has been handled, so a crash re-queues
+            # exactly the work the dead pool still owed.
             inflight: dict = {}
             try:
                 with ProcessPoolExecutor(max_workers=self.jobs) as pool:
                     while backlog or inflight:
                         while backlog and len(inflight) < self.window:
-                            index = backlog.popleft()
+                            # Peek first: submit raises BrokenProcessPool
+                            # once the pool has died, and the index must
+                            # stay queued for the rebuilt pool.
+                            index = backlog[0]
                             inflight[pool.submit(fn, payloads[index])] = index
+                            backlog.popleft()
                             if telemetry:
                                 starts[index] = telemetry.elapsed_seconds()
                                 telemetry.emit(SHARD_STARTED, shard_index=index)
@@ -294,12 +213,12 @@ class QueueFleetExecutor(FleetExecutor):
                             )
                         done, _ = wait(inflight, return_when=FIRST_COMPLETED)
                         for future in done:
-                            index = inflight.pop(future)
                             try:
                                 result = future.result()
                             except BrokenProcessPool:
                                 raise
                             except Exception as exc:
+                                index = inflight.pop(future)
                                 budget.spend(index, exc)
                                 if telemetry:
                                     telemetry.emit(
@@ -312,7 +231,7 @@ class QueueFleetExecutor(FleetExecutor):
                                     )
                                 backlog.append(index)
                                 continue
-                            completed.add(index)
+                            index = inflight.pop(future)
                             wall_s = (
                                 telemetry.elapsed_seconds() - starts[index]
                                 if telemetry
@@ -322,11 +241,7 @@ class QueueFleetExecutor(FleetExecutor):
                             yield index, result
             except BrokenProcessPool as exc:
                 budget.spend(None, exc)
-                casualties = sorted(
-                    index
-                    for index in inflight.values()
-                    if index not in completed
-                )
+                casualties = sorted(inflight.values())
                 # Put the crashed window back at the head of the queue
                 # so recovery re-runs the oldest work first.
                 for index in reversed(casualties):
@@ -365,26 +280,9 @@ def _announce(
     telemetry.emit(SHARD_FINISHED, shard_index=index, **payload)
 
 
-def make_executor(jobs: int, kind: str = "auto") -> FleetExecutor:
-    """The executor for a ``--jobs N`` (and ``--executor KIND``) request.
-
-    ``auto`` keeps the historical dispatch: serial for one job, the
-    eager process pool otherwise. ``queue`` selects the bounded-window
-    :class:`QueueFleetExecutor` at any job count.
-    """
+def make_executor(jobs: int) -> FleetExecutor:
+    """The executor for a ``--jobs N`` request: serial for one job, the
+    bounded-queue process pool otherwise."""
     if jobs < 1:
         raise FleetError(f"jobs must be positive, got {jobs}")
-    if kind == "auto":
-        return SerialExecutor() if jobs == 1 else ProcessFleetExecutor(jobs)
-    if kind == "serial":
-        if jobs != 1:
-            raise FleetError(f"serial executor runs one job, got --jobs {jobs}")
-        return SerialExecutor()
-    if kind == "process":
-        return ProcessFleetExecutor(jobs)
-    if kind == "queue":
-        return QueueFleetExecutor(jobs)
-    raise FleetError(
-        f"unknown executor kind {kind!r}; "
-        "expected auto, serial, process, or queue"
-    )
+    return SerialExecutor() if jobs == 1 else QueueFleetExecutor(jobs)

@@ -5,9 +5,8 @@ Every fleet aggregate is produced by a fold-style **accumulator**
 between partials, ``finalize`` once) so the engine can consume
 :class:`~repro.fleet.work.ShardResult`\\ s as the executor completes
 them and drop each one immediately — constant memory in the number of
-devices. The legacy ``reduce_*`` functions remain as single-pass
-wrappers over the accumulators and now accept any iterable (including
-generators), not just lists.
+devices. :func:`reduce_contributions` stays as an independent
+collect-sort-federate reference for :class:`ContributionsAccumulator`.
 
 Determinism contract: floating-point addition is not associative, so
 byte-identical reports require folding devices in **canonical device-id
@@ -344,11 +343,11 @@ class FleetFold:
     """Folds shard results strictly in shard-index order.
 
     Shards hold contiguous ascending device-id ranges, so index order
-    is device-id order and the float sums match the batch reducers bit
-    for bit. Each shard's population is validated against the spec's
-    shard plan (missing, duplicated, or foreign devices raise), which
-    replaces the batch path's whole-fleet set arithmetic with an O(1)-
-    memory check.
+    is device-id order and the float sums match one accumulator pass
+    over :func:`canonical_device_results` bit for bit. Each shard's
+    population is validated against the spec's shard plan (missing,
+    duplicated, or foreign devices raise), which replaces the batch
+    path's whole-fleet set arithmetic with an O(1)-memory check.
     """
 
     def __init__(
@@ -425,43 +424,7 @@ class FleetFold:
         )
 
 
-# -- single-pass wrappers (legacy call shape, iterable-friendly) ----------
-
-
-def reduce_totals(device_results: Iterable[DeviceResult]) -> FleetTotals:
-    """Fold the scalar counters (expects canonical order)."""
-    accumulator = TotalsAccumulator()
-    for device in device_results:
-        accumulator.update(device)
-    return accumulator.finalize()
-
-
-def reduce_energy(
-    device_results: Iterable[DeviceResult],
-) -> Optional[EnergyReport]:
-    """Merge per-device ledgers into one fleet ledger (canonical order)."""
-    accumulator = EnergyAccumulator()
-    for device in device_results:
-        accumulator.update(device)
-    return accumulator.finalize()
-
-
-def reduce_census(device_results: Iterable[DeviceResult]) -> Dict[str, int]:
-    """Archetype head-count, keys sorted for stable rendering."""
-    accumulator = CensusAccumulator()
-    for device in device_results:
-        accumulator.update(device)
-    return accumulator.finalize()
-
-
-def reduce_cohort_totals(
-    device_results: Iterable[DeviceResult],
-) -> Dict[str, FleetTotals]:
-    """Per-rollout-cohort scalar aggregates (expects canonical order)."""
-    accumulator = CohortTotalsAccumulator()
-    for device in device_results:
-        accumulator.update(device)
-    return accumulator.finalize()
+# -- independent reference ------------------------------------------------
 
 
 def reduce_contributions(

@@ -16,7 +16,6 @@ from typing import List, Optional, Tuple
 
 from repro.android.dispatch import BatchedEventLoop, EventLoop
 from repro.core.config import SnipConfig
-from repro.core.fastpath import batching_enabled
 from repro.core.federated import ContributionBuilder, DeviceContribution
 from repro.core.runtime import SnipRuntime
 from repro.core.selection import SelectedInputs
@@ -120,8 +119,7 @@ def run_device_reference(
 
     The original per-event device loop, kept verbatim: the equivalence
     suite asserts the batched path produces byte-identical
-    ``DeviceResult`` pickles against this, and
-    ``REPRO_SNIP_NO_BATCH=1`` routes production traffic back through it.
+    ``DeviceResult`` pickles against this.
     """
     population = population or Population(seed=spec.seed)
     archetype = population.archetype_of(device_id)
@@ -231,8 +229,7 @@ def run_device(
     federated statistics fold runs fused over the already-materialised
     events. Byte-identical to :func:`run_device_reference` — same
     ``DeviceResult`` pickles, same fleet reports — as asserted by the
-    golden-equivalence suite; ``REPRO_SNIP_NO_BATCH=1`` (or the CLI's
-    ``--no-batch``) falls back to the reference loop.
+    golden-equivalence suite.
 
     During a staged rollout, devices dealt into the challenger cohort
     run the challenger's table instead of the champion's. Challenger
@@ -240,17 +237,6 @@ def run_device(
     keyed by the necessary-input selection, and merging two selections'
     statistics into one fleet table would corrupt it.
     """
-    if not batching_enabled():
-        return run_device_reference(
-            device_id,
-            spec,
-            selection,
-            table,
-            config,
-            population=population,
-            challenger_selection=challenger_selection,
-            challenger_table=challenger_table,
-        )
     population = population or Population(seed=spec.seed)
     archetype = population.archetype_of(device_id)
     cohort = spec.cohort_of(device_id)

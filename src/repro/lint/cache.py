@@ -28,11 +28,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.lint.core import Finding, LintConfig
+from repro.storage import atomic_write
 
 CACHE_VERSION = 1
 
@@ -245,19 +245,10 @@ class AnalysisCache:
         }
         directory = os.path.dirname(os.path.abspath(self.path))
         os.makedirs(directory, exist_ok=True)
-        fd, tmp_path = tempfile.mkstemp(
-            dir=directory, prefix=".lint-cache-", suffix=".tmp"
+        atomic_write(
+            self.path,
+            json.dumps(doc, separators=(",", ":"), sort_keys=True).encode("utf-8"),
         )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(doc, handle, separators=(",", ":"), sort_keys=True)
-            os.replace(tmp_path, self.path)
-        except BaseException:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-            raise
         self._valid_for = (engine, policy)
         self._files = dict(files)
         self._project = project

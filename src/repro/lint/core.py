@@ -244,10 +244,7 @@ class LintConfig:
     """Knobs the rule packs read; defaults encode this repo's policy."""
 
     #: Module basenames allowed to read process environment variables.
-    #: ``fastpath.py`` is the documented batched/scalar escape hatch:
-    #: its flag picks between byte-identical implementations, so the
-    #: read is configuration, not a determinism hazard.
-    env_allowed_basenames: Tuple[str, ...] = ("cli.py", "fastpath.py")
+    env_allowed_basenames: Tuple[str, ...] = ("cli.py",)
     #: Dotted roots whose reachable payload classes must stay picklable.
     pickle_roots: Tuple[str, ...] = (
         "repro/fleet/work.py::ShardTask",

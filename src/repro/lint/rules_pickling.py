@@ -1,6 +1,6 @@
 """Pickling-safety rules for fleet process-boundary payloads.
 
-:class:`~repro.fleet.executors.ProcessFleetExecutor` ships
+:class:`~repro.fleet.executors.QueueFleetExecutor` ships
 :class:`~repro.fleet.work.ShardTask` out and
 :class:`~repro.fleet.work.ShardResult` back via ``pickle``.  A lambda,
 a locally-defined function, or an open OS handle stored on any class

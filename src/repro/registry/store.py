@@ -21,7 +21,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Optional, Tuple, Union
@@ -43,6 +42,7 @@ from repro.registry.records import (
     RegistryState,
     config_fingerprint,
 )
+from repro.storage import atomic_write
 
 STATE_NAME = "registry.json"
 
@@ -132,19 +132,7 @@ class PackageRegistry:
         document = json.dumps(state.to_dict(), indent=2, sort_keys=True) + "\n"
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
-            fd, staged = tempfile.mkstemp(
-                prefix=f".{STATE_NAME}.", suffix=".tmp", dir=path.parent
-            )
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    handle.write(document)
-                os.replace(staged, path)
-            except BaseException:
-                try:
-                    os.unlink(staged)
-                except OSError:
-                    pass
-                raise
+            atomic_write(path, document.encode("utf-8"))
         except OSError as exc:
             raise RegistryError(f"cannot write registry state {path}: {exc}") from exc
         return path

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.core.fastpath import batching_enabled
 from repro.games.base import Game
 from repro.soc.energy import ColumnarMeter, EnergyReport, TAG_LOOKUP
 from repro.soc.soc import Soc, snapdragon_821
@@ -83,8 +82,7 @@ def run_scheme_session_reference(
     """Scalar golden reference for :func:`run_scheme_session`.
 
     Kept verbatim: the equivalence suite asserts the batched session
-    runner produces identical :class:`SchemeRun` reports against this,
-    and ``REPRO_SNIP_NO_BATCH=1`` routes callers back through it.
+    runner produces identical :class:`SchemeRun` reports against this.
     """
     soc = soc or snapdragon_821()
     game = create_game(game_name, seed=GAME_CONTENT_SEED)
@@ -115,10 +113,6 @@ def run_scheme_session(
     :class:`~repro.soc.energy.ColumnarMeter` folded once at report
     time. Reports are byte-identical to the scalar reference.
     """
-    if not batching_enabled():
-        return run_scheme_session_reference(
-            scheme, game_name, seed=seed, duration_s=duration_s, soc=soc
-        )
     soc = soc or snapdragon_821(meter=ColumnarMeter())
     game = fresh_game(game_name, seed=GAME_CONTENT_SEED)
     runner = scheme.make_runner(soc, game)

@@ -72,8 +72,9 @@ from repro.registry.metrics import measure_package
 from repro.registry.promotion import PromotionPolicy
 from repro.registry.rollout import judge_cohorts
 from repro.registry.store import PackageRegistry
-from repro.service.ledger import CycleLedger, canonical_json, exclusive_create
+from repro.service.ledger import CycleLedger, canonical_json
 from repro.service.reports import DeviceReport, ReportQueue
+from repro.storage import exclusive_create
 
 #: Bump on incompatible changes to the run-directory layout.
 SERVICE_FORMAT_VERSION = 1

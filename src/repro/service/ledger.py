@@ -16,11 +16,11 @@ one, which is what the crash-resume tests pin.
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
 from repro.errors import ServiceError
+from repro.storage import atomic_write
 
 #: Bump on incompatible changes to the ledger document layout.
 LEDGER_FORMAT_VERSION = 1
@@ -42,33 +42,6 @@ def canonicalize(payload: Any) -> Any:
         return json.loads(json.dumps(payload, sort_keys=True))
     except (TypeError, ValueError) as exc:
         raise ServiceError(f"ledger payload is not JSON-serialisable: {exc}") from exc
-
-
-def atomic_write(path: Path, data: bytes) -> None:
-    """Write a file atomically (tmp + rename); readers never see a torn file."""
-    tmp = path.with_suffix(path.suffix + f".{os.getpid()}.tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
-
-
-def exclusive_create(path: Path, data: bytes) -> None:
-    """Publish a file exactly once across concurrent creators.
-
-    Stages the payload under an ``O_EXCL`` temp name and links it into
-    place; the loser of a create race gets :class:`FileExistsError`
-    (a plain rename would silently clobber the winner).
-    """
-    tmp = path.with_suffix(path.suffix + f".create.{os.getpid()}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
-        os.link(tmp, path)
-    finally:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
 
 
 class CycleLedger:

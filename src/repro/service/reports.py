@@ -20,7 +20,8 @@ from pathlib import Path
 from typing import Any, Dict, List, Sequence, Tuple, Union
 
 from repro.errors import ServiceError
-from repro.service.ledger import atomic_write, canonical_json
+from repro.service.ledger import canonical_json
+from repro.storage import atomic_write
 
 #: Bump on incompatible changes to the batch-file layout.
 BATCH_FORMAT_VERSION = 1

@@ -14,7 +14,6 @@ from typing import List
 
 from repro.android.dispatch import BatchedEventLoop, EventLoop
 from repro.android.events import Event, EventType
-from repro.core.fastpath import batching_enabled
 from repro.games.base import Game, ProcessingTrace
 from repro.games.registry import GAME_CONTENT_SEED, create_game, fresh_game
 from repro.soc.energy import ColumnarMeter, EnergyReport
@@ -129,8 +128,7 @@ def run_baseline_session_reference(
     """Scalar golden reference for :func:`run_baseline_session`.
 
     Kept verbatim: the equivalence suite asserts the batched session
-    produces an identical :class:`SessionResult` against this, and
-    ``REPRO_SNIP_NO_BATCH=1`` routes callers back through it.
+    produces an identical :class:`SessionResult` against this.
     """
     soc = snapdragon_821()
     game = create_game(game_name, seed=GAME_CONTENT_SEED)
@@ -171,10 +169,6 @@ def run_baseline_session(
     The result — ledger report, traces, events — is identical to the
     scalar reference.
     """
-    if not batching_enabled():
-        return run_baseline_session_reference(
-            game_name, seed=seed, duration_s=duration_s
-        )
     soc = snapdragon_821(meter=ColumnarMeter())
     game = fresh_game(game_name, seed=GAME_CONTENT_SEED)
     loop = BatchedEventLoop(soc, game)

@@ -9,6 +9,7 @@ import pytest
 from repro.errors import CheckpointError
 from repro.fleet import CheckpointStore, FleetEngine, SerialExecutor
 from repro.fleet.work import run_shard
+from repro.storage import exclusive_create
 
 
 class InterruptingExecutor(SerialExecutor):
@@ -96,15 +97,14 @@ def test_initialise_race_loser_is_loud(tmp_path, small_spec, monkeypatch):
     """
     loser = CheckpointStore(tmp_path / "run")
     winner = CheckpointStore(tmp_path / "run")
-    original = CheckpointStore._exclusive_write
 
     def write_after_winner(path, data):
         monkeypatch.undo()  # the winner publishes unimpeded
         winner.initialise(small_spec)
-        original(path, data)
+        exclusive_create(path, data)
 
     monkeypatch.setattr(
-        CheckpointStore, "_exclusive_write", staticmethod(write_after_winner)
+        "repro.fleet.checkpoint.exclusive_create", write_after_winner
     )
     with pytest.raises(CheckpointError, match="lost initialisation race"):
         loser.initialise(small_spec)

@@ -5,8 +5,7 @@ assembly, batched probes, and columnar energy ledgers; the scalar
 ``run_device_reference`` is the seed implementation kept verbatim.
 These tests assert *byte* identity — pickled :class:`DeviceResult`
 payloads and rendered fleet reports — across every game, both cohorts
-of a staged rollout, job counts, and the ``REPRO_SNIP_NO_BATCH``
-escape hatch.
+of a staged rollout, and job counts.
 """
 
 from __future__ import annotations
@@ -16,11 +15,6 @@ import pickle
 import pytest
 
 from repro.core.config import SnipConfig
-from repro.core.fastpath import (
-    batching_enabled,
-    disable_batching,
-    enable_batching,
-)
 from repro.core.profiler import CloudProfiler
 from repro.fleet import FleetEngine, FleetSpec, QueueFleetExecutor
 from repro.fleet.spec import COHORT_CHALLENGER, COHORT_CHAMPION
@@ -121,7 +115,7 @@ class TestDeviceEquivalence:
 
 
 class TestFleetReportEquivalence:
-    def test_fleet_report_identical_across_jobs_and_batching(self):
+    def test_fleet_report_identical_across_jobs_and_batching(self, monkeypatch):
         spec = _small_spec("candy_crush", devices=8, shard_size=2)
         serial = FleetEngine(spec, cache=None).run()
         parallel = FleetEngine(
@@ -130,32 +124,11 @@ class TestFleetReportEquivalence:
         assert parallel.to_json() == serial.to_json()
         assert parallel.to_text() == serial.to_text()
 
-        restore = batching_enabled()
-        disable_batching()
-        try:
-            scalar = FleetEngine(spec, cache=None).run()
-        finally:
-            if restore:
-                enable_batching()
+        # The serial engine calls run_device in-process, so patching the
+        # module attribute sends every device through the scalar loop.
+        monkeypatch.setattr(
+            "repro.fleet.work.run_device", run_device_reference
+        )
+        scalar = FleetEngine(spec, cache=None).run()
         assert scalar.to_json() == serial.to_json()
         assert scalar.to_text() == serial.to_text()
-
-    def test_escape_hatch_routes_devices_through_reference(self):
-        spec = _small_spec("candy_crush")
-        package = _build_package(spec.game_name, spec)
-        config = SnipConfig()
-        restore = batching_enabled()
-        disable_batching()
-        try:
-            assert not batching_enabled()
-            routed = run_device(
-                0, spec, package.selection, package.table, config
-            )
-        finally:
-            if restore:
-                enable_batching()
-        reference = run_device_reference(
-            0, spec, package.selection, package.table, config
-        )
-        assert pickle.dumps(routed) == pickle.dumps(reference)
-        assert batching_enabled() == restore

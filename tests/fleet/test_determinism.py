@@ -14,11 +14,7 @@ from dataclasses import replace
 import pytest
 
 from repro.errors import FleetError
-from repro.fleet import (
-    FleetEngine,
-    ProcessFleetExecutor,
-    SerialExecutor,
-)
+from repro.fleet import FleetEngine, SerialExecutor, make_executor
 from repro.fleet.reducers import canonical_device_results
 from repro.fleet.work import run_shard
 
@@ -29,7 +25,7 @@ def _report_text(spec, executor=None):
 
 def test_parallel_report_matches_serial_byte_for_byte(small_spec):
     serial = _report_text(small_spec, SerialExecutor())
-    parallel = _report_text(small_spec, ProcessFleetExecutor(4))
+    parallel = _report_text(small_spec, make_executor(4))
     assert parallel == serial
 
 

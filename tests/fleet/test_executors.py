@@ -1,19 +1,20 @@
 """Executor contract: ordering, retries, budgets, and pool recovery.
 
-The worker functions live at module level so both executors can pickle
-them; the flaky ones coordinate through marker files because a process
+The worker functions live at module level so the process pool can
+pickle them; the flaky ones coordinate through marker files because a process
 pool cannot share in-memory state with the test.
 """
 
 from __future__ import annotations
 
+import os
 import time
 
 import pytest
 
 from repro.errors import FleetError, WorkerCrashError
 from repro.fleet.executors import (
-    ProcessFleetExecutor,
+    PREFETCH,
     QueueFleetExecutor,
     SerialExecutor,
     make_executor,
@@ -45,29 +46,34 @@ def _flaky(payload):
     return value * value
 
 
+def _crash_once(payload):
+    """Kill the worker outright the first time the marker is seen.
+
+    ``os._exit`` skips every handler, like an OOM kill or a segfault:
+    the pool breaks and every future still in flight fails with it.
+    """
+    value, marker = payload
+    if marker is not None and not marker.exists():
+        marker.write_text("crashed")
+        os._exit(1)
+    return value * value
+
+
+def _crash_payloads(marker_dir):
+    """Six payloads; the worker that picks up the third one dies."""
+    return [
+        (value, marker_dir / "crashed" if value == 2 else None)
+        for value in range(6)
+    ]
+
+
 def test_make_executor_dispatch():
     assert isinstance(make_executor(1), SerialExecutor)
     pool = make_executor(3)
-    assert isinstance(pool, ProcessFleetExecutor)
+    assert isinstance(pool, QueueFleetExecutor)
     assert pool.jobs == 3
     with pytest.raises(FleetError):
         make_executor(0)
-    with pytest.raises(FleetError):
-        ProcessFleetExecutor(1)
-
-
-def test_make_executor_kinds():
-    assert isinstance(make_executor(1, kind="serial"), SerialExecutor)
-    assert isinstance(make_executor(2, kind="process"), ProcessFleetExecutor)
-    queue = make_executor(2, kind="queue")
-    assert isinstance(queue, QueueFleetExecutor)
-    assert queue.jobs == 2
-    # Queue works even single-worker (the window still bounds memory).
-    assert isinstance(make_executor(1, kind="queue"), QueueFleetExecutor)
-    with pytest.raises(FleetError, match="one job"):
-        make_executor(4, kind="serial")
-    with pytest.raises(FleetError, match="unknown executor kind"):
-        make_executor(2, kind="threads")
 
 
 def test_stream_yields_indexed_results():
@@ -121,46 +127,10 @@ def test_negative_budget_rejected():
         SerialExecutor().run(_square, [1], retry_budget=-1)
 
 
-def test_process_pool_orders_results_despite_completion_order():
-    executor = ProcessFleetExecutor(3)
-    # Earlier payloads sleep longer, so completion order inverts payload
-    # order — the returned list must not.
-    payloads = [(4, 0.3), (3, 0.15), (2, 0.0)]
-    landed = []
-    results = executor.run(
-        _slow_square, payloads, on_result=lambda i, r: landed.append(i)
-    )
-    assert results == [16, 9, 4]
-    assert sorted(landed) == [0, 1, 2]
-
-
-def test_process_pool_retries_worker_exceptions(tmp_path):
-    executor = ProcessFleetExecutor(2)
-    telemetry = TelemetryBus()
-    results = executor.run(
-        _flaky,
-        [(2, tmp_path), (3, tmp_path), (4, tmp_path)],
-        telemetry=telemetry,
-        retry_budget=3,
-    )
-    assert results == [4, 9, 16]
-    assert telemetry.counters.worker_failures == 3
-    assert telemetry.counters.retries == 3
-
-
-def test_process_pool_raises_when_budget_exhausted():
-    executor = ProcessFleetExecutor(2)
-    with pytest.raises(WorkerCrashError, match="retry budget exhausted"):
-        executor.run(_always_fails, [1, 2], retry_budget=1)
-
-
 def test_queue_executor_window_bounds_submission():
-    executor = QueueFleetExecutor(jobs=2, prefetch=3)
-    assert executor.window == 6
+    assert QueueFleetExecutor(jobs=3).window == 3 * PREFETCH
     with pytest.raises(FleetError):
         QueueFleetExecutor(0)
-    with pytest.raises(FleetError):
-        QueueFleetExecutor(2, prefetch=0)
 
 
 def test_queue_executor_orders_results_despite_completion_order():
@@ -171,7 +141,7 @@ def test_queue_executor_orders_results_despite_completion_order():
 
 
 def test_queue_executor_emits_queue_depth_within_window():
-    executor = QueueFleetExecutor(jobs=2, prefetch=2)
+    executor = QueueFleetExecutor(jobs=2)
     telemetry = TelemetryBus()
     results = executor.run(_square, list(range(9)), telemetry=telemetry)
     assert results == [v * v for v in range(9)]
@@ -202,3 +172,24 @@ def test_queue_executor_raises_when_budget_exhausted():
     executor = QueueFleetExecutor(jobs=2)
     with pytest.raises(WorkerCrashError, match="retry budget exhausted"):
         executor.run(_always_fails, [1, 2], retry_budget=1)
+
+
+def test_queue_executor_recovers_every_payload_from_a_pool_crash(tmp_path):
+    telemetry = TelemetryBus()
+    pairs = list(
+        QueueFleetExecutor(jobs=2).stream(
+            _crash_once, _crash_payloads(tmp_path), telemetry=telemetry
+        )
+    )
+    # Every payload exactly once, including the one whose worker died.
+    assert sorted(index for index, _ in pairs) == list(range(6))
+    assert dict(pairs) == {value: value * value for value in range(6)}
+    # The crash is one failure, charged once however many it took down.
+    assert telemetry.counters.worker_failures == 1
+
+
+def test_queue_executor_pool_crash_spends_the_retry_budget(tmp_path):
+    with pytest.raises(WorkerCrashError, match="retry budget exhausted"):
+        QueueFleetExecutor(jobs=2).run(
+            _crash_once, _crash_payloads(tmp_path), retry_budget=0
+        )

@@ -1,15 +1,18 @@
 """Accumulator contract: fold == batch, merge == fold, strict ordering.
 
 The streaming engine's byte-identity guarantee rests on these
-equivalences: every accumulator, fed devices one at a time in canonical
-order, must reproduce the batch reducers exactly (floats included), and
-:class:`FleetFold` must refuse anything that would change the fold
-order.
+equivalences: accumulators, fed devices one at a time in canonical
+order, must reproduce independent batch computations exactly (floats
+included); :class:`FleetFold`, fed shards in order, must reproduce one
+accumulator pass over the canonical device list; and :class:`FleetFold`
+must refuse anything that would change the fold order.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
+import operator
 import pickle
 
 import pytest
@@ -22,13 +25,10 @@ from repro.fleet.reducers import (
     ContributionsAccumulator,
     EnergyAccumulator,
     FleetFold,
+    FleetTotals,
     TotalsAccumulator,
     canonical_device_results,
-    reduce_census,
-    reduce_cohort_totals,
     reduce_contributions,
-    reduce_energy,
-    reduce_totals,
 )
 
 
@@ -41,18 +41,25 @@ def test_totals_fold_matches_batch(devices):
     accumulator = TotalsAccumulator()
     for device in devices:
         accumulator.update(device)
-    assert accumulator.finalize() == reduce_totals(devices)
 
+    def batch(attribute):
+        # Left-to-right in canonical order: the fold's float add order
+        # (builtin sum() compensates float error on 3.12+, so not that).
+        values = (getattr(device, attribute) for device in devices)
+        return functools.reduce(operator.add, values, 0)
 
-def test_reducers_accept_single_pass_generators(devices):
-    # Iterable, not List: a generator can only be consumed once, so any
-    # reducer that iterates twice would come up empty or crash here.
-    assert reduce_totals(iter(devices)) == reduce_totals(devices)
-    assert reduce_census(iter(devices)) == reduce_census(devices)
-    energy = reduce_energy(iter(devices))
-    assert energy is not None
-    assert energy.total_joules == reduce_energy(devices).total_joules
-    assert reduce_cohort_totals(iter(devices)) == reduce_cohort_totals(devices)
+    assert accumulator.finalize() == FleetTotals(
+        devices=len(devices),
+        sessions=batch("sessions"),
+        events=batch("events"),
+        snip_joules=batch("snip_joules"),
+        baseline_joules=batch("baseline_joules"),
+        hits=batch("hits"),
+        misses=batch("misses"),
+        avoided_cycles=batch("avoided_cycles"),
+        executed_cycles=batch("executed_cycles"),
+        raw_uplink_bytes=batch("raw_uplink_bytes"),
+    )
 
 
 def _assert_totals_close(merged, folded):
@@ -204,9 +211,16 @@ def test_fleet_fold_matches_batch_reducers(
         fold.fold(shard)
     assert fold.complete
     reduction = fold.finalize()
-    assert reduction.totals == reduce_totals(devices)
-    assert reduction.census == reduce_census(devices)
-    assert reduction.energy.total_joules == reduce_energy(devices).total_joules
+    totals, census, energy = (
+        TotalsAccumulator(), CensusAccumulator(), EnergyAccumulator()
+    )
+    for device in devices:
+        totals.update(device)
+        census.update(device)
+        energy.update(device)
+    assert reduction.totals == totals.finalize()
+    assert reduction.census == census.finalize()
+    assert reduction.energy.total_joules == energy.finalize().total_joules
     assert reduction.cohorts is None  # no challenger cohort in small_spec
 
 

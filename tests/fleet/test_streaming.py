@@ -12,15 +12,15 @@ from __future__ import annotations
 import pytest
 
 from repro.fleet import (
+    CensusAccumulator,
     CheckpointStore,
     FleetEngine,
     QueueFleetExecutor,
     SerialExecutor,
     TelemetryBus,
+    TotalsAccumulator,
     canonical_device_results,
     make_executor,
-    reduce_census,
-    reduce_totals,
 )
 from repro.fleet.telemetry import LIVE_SHARDS, PEAK_RSS, RUN_STARTED
 
@@ -145,9 +145,12 @@ def test_shard_observer_covers_resumed_shards(
 def test_streamed_report_matches_batch_reduction(
     small_shards, small_spec, reference
 ):
-    devices = canonical_device_results(small_shards, small_spec)
-    assert reference.totals == reduce_totals(devices)
-    assert reference.census == reduce_census(devices)
+    totals, census = TotalsAccumulator(), CensusAccumulator()
+    for device in canonical_device_results(small_shards, small_spec):
+        totals.update(device)
+        census.update(device)
+    assert reference.totals == totals.finalize()
+    assert reference.census == census.finalize()
 
 
 def test_resume_folds_checkpointed_shards_without_rerunning(

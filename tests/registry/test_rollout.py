@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import FleetError, PromotionError
-from repro.fleet import FleetSpec, ProcessFleetExecutor, SerialExecutor
+from repro.fleet import FleetSpec, SerialExecutor, make_executor
 from repro.fleet.engine import FleetEngine
 from repro.fleet.spec import (
     COHORT_CHALLENGER,
@@ -88,7 +88,7 @@ class TestCohortAssignment:
         assert "cohort challenger" in reference
         for shard_size in (1, 3, 6):
             assert cohorts_text(shard_size) == reference
-        assert cohorts_text(2, ProcessFleetExecutor(4)) == reference
+        assert cohorts_text(2, make_executor(4)) == reference
 
 
 class TestEngineCohorts:
@@ -235,7 +235,7 @@ class TestStagedRollout:
         states = []
         for label, executor in (
             ("serial", SerialExecutor()),
-            ("parallel", ProcessFleetExecutor(4)),
+            ("parallel", make_executor(4)),
         ):
             registry = self._seeded_registry(
                 tmp_path / label, config, package_a, package_b

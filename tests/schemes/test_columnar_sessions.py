@@ -12,11 +12,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.fastpath import (
-    batching_enabled,
-    disable_batching,
-    enable_batching,
-)
 from repro.schemes import (
     BaselineScheme,
     MaxCpuScheme,
@@ -71,19 +66,3 @@ def test_baseline_session_matches_reference():
     assert batched.battery_hours == reference.battery_hours
     assert batched.useless_user_fraction == reference.useless_user_fraction
     assert batched.wasted_energy_fraction == reference.wasted_energy_fraction
-
-
-def test_escape_hatch_covers_sessions():
-    restore = batching_enabled()
-    disable_batching()
-    try:
-        routed = run_baseline_session("colorphun", seed=2, duration_s=2.0)
-    finally:
-        if restore:
-            enable_batching()
-    reference = run_baseline_session_reference(
-        "colorphun", seed=2, duration_s=2.0
-    )
-    assert routed.report == reference.report
-    assert routed.events == reference.events
-    assert routed.traces == reference.traces

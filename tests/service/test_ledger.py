@@ -10,11 +10,10 @@ from repro.errors import ServiceError
 from repro.service.ledger import (
     LEDGER_FORMAT_VERSION,
     CycleLedger,
-    atomic_write,
     canonical_json,
     canonicalize,
-    exclusive_create,
 )
+from repro.storage import atomic_write, exclusive_create
 
 
 def test_canonical_json_sorts_keys_and_ends_with_newline():
