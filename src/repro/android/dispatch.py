@@ -16,6 +16,7 @@ from repro.android.sensor_hub import SensorHub
 from repro.android.sensor_manager import SensorManager
 from repro.android.tracing import EventTracer
 from repro.soc.energy import TAG_EVENT, EnergyMeter, charge_key_id
+from repro.soc.power_profiles import PowerProfiles
 from repro.soc.soc import Soc, snapdragon_821
 
 if TYPE_CHECKING:  # pragma: no cover - layering: games sit above android
@@ -37,14 +38,18 @@ def charge_trace(soc: Soc, trace: "ProcessingTrace", tag: str = "event") -> None
         else:
             little_cycles += func_call.cycles
     if big_cycles:
-        soc.cpu.execute(big_cycles, big=True, tag=tag)
+        soc.charge_cycles(big_cycles, big=True, tag=tag)
     if little_cycles:
-        soc.cpu.execute(little_cycles, big=False, tag=tag)
+        soc.charge_cycles(little_cycles, big=False, tag=tag)
     if trace.memory_bytes:
-        soc.memory.transfer(trace.memory_bytes, tag=tag)
+        soc.charge_transfer(trace.memory_bytes, tag=tag)
     for call in trace.ip_calls:
-        soc.ip(call.ip_name).invoke(
-            call.work_units, bytes_in=call.bytes_in, bytes_out=call.bytes_out, tag=tag
+        soc.charge_invocation(
+            call.ip_name,
+            call.work_units,
+            bytes_in=call.bytes_in,
+            bytes_out=call.bytes_out,
+            tag=tag,
         )
 
 
@@ -114,13 +119,18 @@ class EventLoop:
 
 # -- batched fast path --------------------------------------------------
 
+#: A static charge pattern: parallel key-id and joules columns, ready
+#: for :meth:`~repro.soc.energy.ColumnarMeter.extend`.
+Pattern = Tuple[Tuple[int, ...], Tuple[float, ...]]
+
 
 class _PatternRecorder(EnergyMeter):
     """Meter that also captures the interned (key id, joules) stream."""
 
     def __init__(self) -> None:
         super().__init__()
-        self.recorded: List[Tuple[int, float]] = []
+        self.key_ids: List[int] = []
+        self.values: List[float] = []
 
     def charge(
         self,
@@ -131,34 +141,37 @@ class _PatternRecorder(EnergyMeter):
     ) -> None:
         super().charge(component, group, joules, tag)
         if joules:
-            self.recorded.append((charge_key_id(component, group, tag), joules))
+            self.key_ids.append(charge_key_id(component, group, tag))
+            self.values.append(joules)
 
 
 #: Static delivery+upkeep charge patterns keyed by (game name, event
-#: type). Every charge those stages emit depends only on the event's
-#: *type* — schema nbytes, sensor burst shape, synthesis cycles, and the
-#: game class's upkeep tables are all type-level constants — so one
-#: recorded sequence replays exactly for every later event of the type.
-_COST_PATTERNS: Dict[Tuple[str, EventType], Tuple[Tuple[int, float], ...]] = {}
+#: type, power profiles). Every charge those stages emit depends only on
+#: the event's *type* and the phone's constants — schema nbytes, sensor
+#: burst shape, synthesis cycles, and the game class's upkeep tables are
+#: all type-level — so one recorded sequence replays exactly for every
+#: later event of the type on a SoC with those profiles.
+_COST_PATTERNS: Dict[Tuple[str, EventType, PowerProfiles], Pattern] = {}
 
 
 def delivery_upkeep_pattern(
-    game: "Game", event: Event
-) -> Tuple[Tuple[int, float], ...]:
+    game: "Game", event: Event, profiles: PowerProfiles
+) -> Pattern:
     """The exact charge sequence the scalar delivery + upkeep stages emit.
 
-    Recorded once per ``(game, event type)`` by running the scalar
-    helpers on a scratch default-profile SoC, which captures the precise
-    charge order, values, and zero-skips. Valid for default-profile SoCs
-    whose components are awake — true of every session path that opts
-    into batching (those paths build their own SoCs and never sleep
-    components mid-session; schemes that do sleep stay on scalar calls).
+    Recorded once per ``(game, event type, profiles)`` by running the
+    scalar helpers on a scratch SoC built from ``profiles``, which
+    captures the precise charge order, values, and zero-skips. Valid
+    for SoCs with those profiles whose components are awake — true of
+    every session path that opts into batching (those paths build their
+    own SoCs and never sleep components mid-session; schemes that do
+    sleep stay on scalar calls).
     """
-    key = (game.name, event.event_type)
+    key = (game.name, event.event_type, profiles)
     pattern = _COST_PATTERNS.get(key)
     if pattern is None:
         meter = _PatternRecorder()
-        scratch = snapdragon_821(meter=meter)
+        scratch = snapdragon_821(profiles=profiles, meter=meter)
         charge_delivery(
             scratch,
             SensorHub(scratch),
@@ -172,8 +185,35 @@ def delivery_upkeep_pattern(
         for ip_name, units in game.upkeep_ip_units_for(event.event_type).items():
             if units:
                 scratch.ip(ip_name).invoke(units, bytes_in=128 * 1024, tag="event")
-        pattern = _COST_PATTERNS[key] = tuple(meter.recorded)
+        pattern = _COST_PATTERNS[key] = (tuple(meter.key_ids), tuple(meter.values))
     return pattern
+
+
+class DeliveryPatterns:
+    """One session's delivery + upkeep charges, as static patterns.
+
+    Resolves each event type's :func:`delivery_upkeep_pattern` once per
+    session: the process-wide table is keyed on the SoC's power
+    profiles, whose hash walks every component's constants, and a SoC
+    keeps its profiles for life. Requires a columnar SoC
+    (:attr:`~repro.soc.soc.Soc.columnar`).
+    """
+
+    def __init__(self, soc: Soc, game: "Game") -> None:
+        self._soc = soc
+        self._game = game
+        self._by_type: Dict[EventType, Pattern] = {}
+
+    def charge(self, event: Event) -> None:
+        """Tick the game engine and append the event's delivery + upkeep."""
+        game = self._game
+        game.advance_engine(event)
+        pattern = self._by_type.get(event.event_type)
+        if pattern is None:
+            pattern = self._by_type[event.event_type] = delivery_upkeep_pattern(
+                game, event, self._soc.profiles
+            )
+        self._soc.meter.extend(*pattern)
 
 
 class BatchedEventLoop(EventLoop):
@@ -181,17 +221,18 @@ class BatchedEventLoop(EventLoop):
 
     Byte-identical to :class:`EventLoop` (asserted by the equivalence
     suite) but skips the sensor/hub/manager object machinery per event:
-    delivery and upkeep charges arrive as one precomputed
-    ``(key id, joules)`` pattern via
-    :meth:`~repro.soc.energy.ColumnarMeter.extend`. Requires the SoC's
-    meter to be a :class:`~repro.soc.energy.ColumnarMeter`.
+    delivery and upkeep charges arrive as one precomputed pattern via
+    :class:`DeliveryPatterns`. Requires a columnar SoC.
     """
+
+    def __init__(self, soc: Soc, game: "Game", tracer: Optional[EventTracer] = None) -> None:
+        super().__init__(soc, game, tracer)
+        self._patterns = DeliveryPatterns(soc, game)
 
     def deliver(self, event: Event) -> "ProcessingTrace":
         if self.tracer is not None:
             self.tracer.record(event)
-        self.game.advance_engine(event)
-        self.soc.meter.extend(delivery_upkeep_pattern(self.game, event))
+        self._patterns.charge(event)
         trace = self.game.process(event)
         charge_trace(self.soc, trace)
         self._events_delivered += 1

@@ -21,10 +21,10 @@ import numpy as np
 
 from repro.android.binder import Binder
 from repro.android.dispatch import (
+    DeliveryPatterns,
     charge_delivery,
     charge_trace,
     charge_upkeep,
-    delivery_upkeep_pattern,
 )
 from repro.android.events import Event, EventType
 from repro.android.sensor_hub import SensorHub
@@ -33,8 +33,12 @@ from repro.core.config import SnipConfig
 from repro.core.fields import FieldInfo
 from repro.core.table import SnipTable, TableEntry
 from repro.games.base import Game, ProcessingTrace
-from repro.soc.energy import TAG_LOOKUP, ColumnarMeter
+from repro.soc.energy import TAG_LOOKUP
 from repro.soc.soc import IP_DISPLAY, Soc
+
+#: Event types whose hits still pay a display scan-out: the panel shows
+#: this vsync/camera frame; only producing new pixels was avoided.
+_SCANOUT_TYPES = (EventType.FRAME_TICK, EventType.CAMERA_FRAME)
 
 
 @dataclass
@@ -115,11 +119,10 @@ class SnipRuntime:
                 for info in self.table.fields_for(event_type)
             )
         )
-        #: Columnar sessions install a :class:`ColumnarMeter` at SoC
-        #: build time; delivery/upkeep charges then arrive as static
-        #: patterns (byte-identical order and values) instead of per
-        #: event sensor-object traversals.
-        self._columnar = isinstance(soc.meter, ColumnarMeter)
+        #: Columnar sessions build a columnar SoC; delivery/upkeep
+        #: charges then arrive as static patterns (byte-identical order
+        #: and values) instead of per event sensor-object traversals.
+        self._patterns = DeliveryPatterns(soc, game) if soc.columnar else None
         #: Kill switch (Sec. VII-B): when False every event takes the
         #: baseline path; probes, hits, and online learning all stop.
         self.enabled = True
@@ -193,10 +196,19 @@ class SnipRuntime:
             self.config.lookup_base_cycles
             + self.config.lookup_cycles_per_byte * compare_bytes
         )
-        self.soc.cpu.execute(cycles, big=True, tag=TAG_LOOKUP)
+        self.soc.charge_cycles(cycles, big=True, tag=TAG_LOOKUP)
         # The entry and the live inputs both cross memory once.
-        self.soc.memory.transfer(2 * compare_bytes, tag=TAG_LOOKUP)
+        self.soc.charge_transfer(2 * compare_bytes, tag=TAG_LOOKUP)
         return compare_bytes
+
+    def _charge_hit(self, event: Event, entry: TableEntry) -> None:
+        """Charge what a hit still costs: a frame event's scan-out, and
+        the entry's outputs crossing memory into the game state."""
+        if event.event_type in _SCANOUT_TYPES:
+            self.soc.charge_invocation(IP_DISPLAY, 1.0, bytes_in=512 * 1024)
+        applied_bytes = sum(write.nbytes for write in entry.writes)
+        if applied_bytes:
+            self.soc.charge_transfer(applied_bytes, tag=TAG_LOOKUP)
 
     # -- batched probing ----------------------------------------------------
 
@@ -273,9 +285,8 @@ class SnipRuntime:
         event-only types yield one); it replaces both the probe's live
         key gather and the online-learning re-read.
         """
-        if self._columnar:
-            self.game.advance_engine(event)
-            self.soc.meter.extend(delivery_upkeep_pattern(self.game, event))
+        if self._patterns is not None:
+            self._patterns.charge(event)
             self.stats.executed_cycles += self.game.upkeep_cycles_for(
                 event.event_type
             )
@@ -293,14 +304,8 @@ class SnipRuntime:
             entry = self.table.lookup(event.event_type, key)
             if entry is not None:
                 # Hit: substitute the stored outputs, skip all processing.
-                # The panel still scans out this vsync/camera frame —
-                # only producing new pixels was avoided.
-                if event.event_type in (EventType.FRAME_TICK, EventType.CAMERA_FRAME):
-                    self.soc.ip(IP_DISPLAY).invoke(1.0, bytes_in=512 * 1024)
+                self._charge_hit(event, entry)
                 self.game.apply_outputs(entry.writes)
-                applied_bytes = sum(write.nbytes for write in entry.writes)
-                if applied_bytes:
-                    self.soc.memory.transfer(applied_bytes, tag=TAG_LOOKUP)
                 self.stats.hits += 1
                 self.stats.avoided_cycles += entry.avg_cycles
                 return None

@@ -18,6 +18,7 @@ from repro.core.learning import evaluate_table
 from repro.core.runtime import SnipRuntime
 from repro.games.registry import GAME_CONTENT_SEED, create_game
 from repro.registry.records import PackageMetrics
+from repro.soc.energy import ColumnarMeter
 from repro.soc.soc import snapdragon_821
 from repro.users.sessions import run_baseline_session
 from repro.users.tracegen import generate_trace
@@ -38,8 +39,13 @@ def selected_field_count(selection) -> int:
 def measure_energy_saved(
     package, config: SnipConfig, eval_seed: int, eval_duration_s: float
 ) -> float:
-    """Fractional energy saved vs the Max-CPU baseline on one session."""
-    soc = snapdragon_821()
+    """Fractional energy saved vs the Max-CPU baseline on one session.
+
+    Both sessions charge columnar ledgers, as the fleet's do; the result
+    is the same float a plain :class:`~repro.soc.energy.EnergyMeter`
+    gives.
+    """
+    soc = snapdragon_821(meter=ColumnarMeter())
     game = create_game(package.game_name, seed=GAME_CONTENT_SEED)
     runtime = SnipRuntime(soc, game, package.table.clone(), config)
     trace = generate_trace(package.game_name, eval_seed, eval_duration_s)

@@ -137,6 +137,15 @@ class HardwareComponent:
         if self._state in (PowerState.SLEEP, PowerState.OFF):
             self.transition(PowerState.IDLE, tag=tag)
 
+    @property
+    def background_watts(self) -> float:
+        """Background draw in the current power state (0 when OFF)."""
+        if self._state in (PowerState.IDLE, PowerState.ACTIVE):
+            return self.idle_power_watts
+        if self._state == PowerState.SLEEP:
+            return self.sleep_power_watts
+        return 0.0
+
     # -- energy accounting --------------------------------------------
 
     def charge(self, joules: float, tag: str = "event") -> None:
@@ -150,13 +159,7 @@ class HardwareComponent:
         """
         if seconds < 0:
             raise ValueError(f"{self.name!r}: negative background interval {seconds}")
-        if self._state in (PowerState.IDLE, PowerState.ACTIVE):
-            watts = self.idle_power_watts
-        elif self._state == PowerState.SLEEP:
-            watts = self.sleep_power_watts
-        else:
-            watts = 0.0
-        joules = watts * seconds
+        joules = self.background_watts * seconds
         if joules > 0:
             self.charge(joules, tag=tag)
         return joules

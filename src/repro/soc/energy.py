@@ -152,46 +152,39 @@ def charge_key_id(component: str, group: ComponentGroup, tag: str) -> int:
 
 
 def _axis_fold(
-    key_ids: np.ndarray,
+    dense: np.ndarray,
+    first_order: np.ndarray,
     values: np.ndarray,
-    axis_of: Dict[int, object],
+    axis_of: Sequence[object],
 ) -> Dict[object, float]:
     """Grouped sums along one axis, in the scalar meter's exact order.
 
-    For every distinct axis key (component name, group, tag, or
-    group-tag pair) this folds that key's charges with a sequential
-    ``np.add.accumulate`` over the records in arrival order — the same
-    left-to-right float additions ``EnergyMeter.charge`` performs — and
-    inserts keys in first-charge order, so ``dict(...)`` snapshots (and
-    therefore pickles) are byte-identical to the scalar ledger's.
+    ``dense`` holds each record's index into the fold's distinct key
+    ids, ``first_order`` those indices in first-charge order, and
+    ``axis_of`` each distinct key's axis key (component name, group,
+    tag, or group-tag pair). Every axis key's charges are folded with a
+    sequential ``np.add.accumulate`` over the records in arrival order
+    — the same left-to-right float additions ``EnergyMeter.charge``
+    performs — and keys are inserted in first-charge order, so
+    ``dict(...)`` snapshots (and therefore pickles) are byte-identical
+    to the scalar ledger's.
     """
-    # Translate per-record key ids into dense per-axis indices with one
-    # vectorized table gather; only the tiny id universe needs Python.
-    max_id = int(key_ids.max())
-    table = np.empty(max_id + 1, dtype=np.int64)
+    # An axis key is first charged by its earliest-charged key id, so
+    # walking the ids in first-charge order deals the axis indices in
+    # the scalar meter's defaultdict insertion order.
+    table = np.empty(len(axis_of), dtype=np.int64)
     axis_indices: Dict[object, int] = {}
-    axis_keys: List[object] = []
-    for key_id in np.unique(key_ids):
-        axis_key = axis_of[int(key_id)]
+    for index in first_order.tolist():
+        axis_key = axis_of[index]
         axis_index = axis_indices.get(axis_key)
         if axis_index is None:
-            axis_index = axis_indices[axis_key] = len(axis_keys)
-            axis_keys.append(axis_key)
-        table[key_id] = axis_index
-    translated = table[key_ids]
-    # First-charge order decides dict insertion order, like the scalar
-    # meter's defaultdicts.
-    first_seen = {
-        int(translated[position]): None
-        for position in np.sort(
-            np.unique(translated, return_index=True)[1]
-        )
+            axis_index = axis_indices[axis_key] = len(axis_indices)
+        table[index] = axis_index
+    translated = table[dense]
+    return {
+        axis_key: float(np.add.accumulate(values[translated == axis_index])[-1])
+        for axis_key, axis_index in axis_indices.items()
     }
-    folded: Dict[object, float] = {}
-    for axis_index in first_seen:
-        bucket = values[translated == axis_index]
-        folded[axis_keys[axis_index]] = float(np.add.accumulate(bucket)[-1])
-    return folded
 
 
 class ColumnarMeter(EnergyMeter):
@@ -201,9 +194,17 @@ class ColumnarMeter(EnergyMeter):
     dicts; totals are folded lazily — per axis, with masked sequential
     ``np.add.accumulate`` sums in record order — so every float result
     and every dict insertion order is bit-identical to an
-    :class:`EnergyMeter` fed the same charges. The batched dispatch
-    layer also pours precomputed static cost patterns straight into the
-    record columns via :meth:`extend`.
+    :class:`EnergyMeter` fed the same charges.
+
+    A :class:`~repro.soc.soc.Soc` built on this meter also writes into
+    the record columns without going through its components: idle
+    accrual, CPU, DRAM and IP charges to IDLE components (see
+    :meth:`~repro.soc.soc.Soc.charge_cycles`), and the static delivery
+    and upkeep patterns of :func:`repro.android.dispatch.delivery_upkeep_pattern`
+    via :meth:`extend`. Those charges skip the components' own
+    bookkeeping, so on a columnar SoC the component counters
+    (``big_cycles_executed``, ``invocation_count``, ``bytes_moved`` and
+    the like) are not kept up to date; the ledger is.
     """
 
     def __init__(self) -> None:
@@ -219,22 +220,33 @@ class ColumnarMeter(EnergyMeter):
         joules: float,
         tag: str = TAG_EVENT,
     ) -> None:
+        self.charge_id(charge_key_id(component, group, tag), joules, component)
+
+    def charge_id(self, key_id: int, joules: float, component: str) -> None:
+        """:meth:`charge` under a key already interned by :func:`charge_key_id`.
+
+        Same checks: negative charges raise, zero charges are skipped.
+        ``component`` names the charger in the error message.
+        """
         if joules < 0:
             raise ValueError(f"negative energy charge from {component!r}: {joules}")
         if joules == 0:
             return
-        self._key_ids.append(charge_key_id(component, group, tag))
+        self._key_ids.append(key_id)
         self._values.append(joules)
 
-    def extend(self, pattern: Sequence[Tuple[int, float]]) -> None:
-        """Append a precomputed (key id, joules) charge pattern.
+    def extend(self, key_ids: Sequence[int], values: Sequence[float]) -> None:
+        """Append parallel columns of precomputed charges, unchecked.
 
-        Patterns are recorded from real scalar charge sequences (see
-        :class:`repro.android.dispatch.SessionCostModel`), so they carry
-        no zero or negative charges by construction.
+        Callers guarantee every value is positive: the static patterns
+        of :func:`repro.android.dispatch.delivery_upkeep_pattern` are
+        recorded from real scalar charge sequences, which carry no zero
+        or negative charges, and :meth:`repro.soc.soc.Soc.advance_time`
+        falls back to its component walk whenever an idle charge would
+        come out zero.
         """
-        self._key_ids.extend(item[0] for item in pattern)
-        self._values.extend(item[1] for item in pattern)
+        self._key_ids.extend(key_ids)
+        self._values.extend(values)
 
     # -- folded views ---------------------------------------------------
 
@@ -251,20 +263,27 @@ class ColumnarMeter(EnergyMeter):
         else:
             key_ids = np.asarray(self._key_ids, dtype=np.int64)
             values = np.asarray(self._values, dtype=np.float64)
-            meta = _KEY_META
+            # The fold's one sort: the distinct key ids, each record's
+            # index into them, and each id's first record. Every axis
+            # derives its first-charge order from this.
+            ids, first, dense = np.unique(
+                key_ids, return_index=True, return_inverse=True
+            )
+            first_order = np.argsort(first)
+            keys = [_KEY_META[key_id] for key_id in ids.tolist()]
             report = EnergyReport(
                 total_joules=float(np.add.accumulate(values)[-1]),
                 by_component=_axis_fold(
-                    key_ids, values, {i: key[0] for i, key in enumerate(meta)}
+                    dense, first_order, values, [key[0] for key in keys]
                 ),
                 by_group=_axis_fold(
-                    key_ids, values, {i: key[1] for i, key in enumerate(meta)}
+                    dense, first_order, values, [key[1] for key in keys]
                 ),
                 by_tag=_axis_fold(
-                    key_ids, values, {i: key[2] for i, key in enumerate(meta)}
+                    dense, first_order, values, [key[2] for key in keys]
                 ),
                 by_group_and_tag=_axis_fold(
-                    key_ids, values, {i: (key[1], key[2]) for i, key in enumerate(meta)}
+                    dense, first_order, values, [(key[1], key[2]) for key in keys]
                 ),
             )
         self._fold_cache = (count, report)

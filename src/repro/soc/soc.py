@@ -8,13 +8,22 @@ and what sleeps.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+import math
+from operator import attrgetter
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.soc.battery import Battery
-from repro.soc.component import ComponentGroup, HardwareComponent
+from repro.soc.component import ComponentGroup, HardwareComponent, PowerState
 from repro.soc.cpu import CpuCluster
-from repro.soc.energy import EnergyMeter, EnergyReport, TAG_IDLE
+from repro.soc.energy import (
+    TAG_EVENT,
+    TAG_IDLE,
+    ColumnarMeter,
+    EnergyMeter,
+    EnergyReport,
+    charge_key_id,
+)
 from repro.soc.ip import (
     AudioCodec,
     DisplayController,
@@ -52,6 +61,18 @@ SENSOR_ACCEL = "accel"
 SENSOR_GPS = "gps"
 SENSOR_CAMERA = "camera"
 
+#: Ledger name of the always-on platform draw (see :meth:`Soc.advance_time`).
+PLATFORM_FLOOR = "platform_floor"
+
+#: Every component's power state in one C-level pass: the idle-pattern
+#: cache key of :meth:`Soc.advance_time`.
+_STATE_OF = attrgetter("_state")
+
+#: One power-state configuration's idle accrual: the key id and
+#: background watts of every charge the component walk would make, and
+#: the smallest of those watts (``inf`` when there are none).
+_IdlePattern = Tuple[Tuple[int, ...], Tuple[float, ...], float]
+
 
 class Soc:
     """A fully-assembled phone SoC plus battery.
@@ -78,11 +99,33 @@ class Soc:
         self.battery = battery
         self.profiles = profiles
         self._elapsed_seconds = 0.0
+        #: A columnar meter takes charges straight into its record
+        #: columns: idle accrual as one cached pattern per power-state
+        #: configuration, and CPU, DRAM and IP work charged to an IDLE
+        #: component without walking the component object.
+        self._ledger: Optional[ColumnarMeter] = (
+            meter if isinstance(meter, ColumnarMeter) else None
+        )
+        self._components = tuple(self.all_components().values())
+        self._idle_patterns: Dict[Tuple[PowerState, ...], _IdlePattern] = {}
+        #: Direct charges' key ids by ``(component, tag)``: interning
+        #: through :func:`charge_key_id` hashes the group enum per call.
+        self._key_ids: Dict[Tuple[str, str], int] = {}
 
     @property
     def elapsed_seconds(self) -> float:
         """Simulated wall time advanced via :meth:`advance_time`."""
         return self._elapsed_seconds
+
+    @property
+    def columnar(self) -> bool:
+        """Whether this SoC charges into a :class:`ColumnarMeter`.
+
+        Then static charge patterns may be poured into the meter (see
+        :func:`repro.android.dispatch.delivery_upkeep_pattern`), and the
+        ``charge_*`` methods write IDLE components' charges directly.
+        """
+        return self._ledger is not None
 
     def ip(self, name: str) -> IpBlock:
         """Look up an IP block by canonical name."""
@@ -119,15 +162,114 @@ class Soc:
             raise SimulationError(f"cannot advance time by {seconds} s")
         if seconds == 0:
             return
-        for component in self.all_components().values():
-            component.accrue_background(seconds, tag=TAG_IDLE)
-        self.meter.charge(
-            "platform_floor",
-            ComponentGroup.IP,
-            self.profiles.platform_floor_watts * seconds,
-            tag=TAG_IDLE,
-        )
+        if self._ledger is None or not self._accrue_pattern(seconds):
+            for component in self._components:
+                component.accrue_background(seconds, tag=TAG_IDLE)
+            self.meter.charge(
+                PLATFORM_FLOOR,
+                ComponentGroup.IP,
+                self.profiles.platform_floor_watts * seconds,
+                tag=TAG_IDLE,
+            )
         self._elapsed_seconds += seconds
+
+    def _accrue_pattern(self, seconds: float) -> bool:
+        """Append the component walk's idle charges in one go.
+
+        The walk charges ``watts * seconds`` for every component whose
+        power state draws, then the platform floor, skipping zero
+        charges. That sequence depends only on the tuple of power
+        states, so it is cached per tuple. Returns False, charging
+        nothing, when any charge would not come out positive (a ``dt``
+        so small that it underflows, or a negative floor that must
+        raise): the caller then walks the components instead.
+        """
+        states = tuple(map(_STATE_OF, self._components))
+        pattern = self._idle_patterns.get(states)
+        if pattern is None:
+            pattern = self._idle_patterns[states] = self._idle_pattern()
+        key_ids, watts, least = pattern
+        # ``watts * seconds`` rises with ``watts``: if the smallest
+        # product is positive, every product is.
+        if not least * seconds > 0:
+            return False
+        self._ledger.extend(key_ids, [power * seconds for power in watts])
+        return True
+
+    def _idle_pattern(self) -> _IdlePattern:
+        """The walk's charges in the components' current power states."""
+        key_ids: List[int] = []
+        watts: List[float] = []
+        for component in self._components:
+            power = component.background_watts
+            if power > 0:
+                key_ids.append(charge_key_id(component.name, component.group, TAG_IDLE))
+                watts.append(power)
+        floor = self.profiles.platform_floor_watts
+        if floor != 0:
+            key_ids.append(charge_key_id(PLATFORM_FLOOR, ComponentGroup.IP, TAG_IDLE))
+            watts.append(floor)
+        return tuple(key_ids), tuple(watts), min(watts, default=math.inf)
+
+    # -- direct charges ------------------------------------------------------
+
+    def charge_cycles(self, cycles: int, big: bool = True, tag: str = TAG_EVENT) -> None:
+        """Charge ``cycles`` of CPU work, as :meth:`CpuCluster.execute` does.
+
+        On a columnar SoC with the cluster IDLE, the energy
+        :meth:`CpuCluster.energy_for` prices goes straight into the
+        meter's columns and the cycle counters stay as they were.
+        Otherwise — a plain meter, or a cluster asleep that must be
+        woken and charged for it — the cluster executes as usual.
+        """
+        cpu = self.cpu
+        if self._ledger is not None and cpu.state is PowerState.IDLE:
+            self._charge_direct(cpu, cpu.energy_for(cycles, big=big), tag)
+        else:
+            cpu.execute(cycles, big=big, tag=tag)
+
+    def charge_transfer(self, num_bytes: int, tag: str = TAG_EVENT) -> None:
+        """Charge a DRAM transfer, as :meth:`Memory.transfer` does.
+
+        Direct on a columnar SoC while the channel is IDLE (``bytes_moved``
+        is not updated), through the channel otherwise.
+        """
+        memory = self.memory
+        if self._ledger is not None and memory.state is PowerState.IDLE:
+            self._charge_direct(memory, memory.energy_for(num_bytes), tag)
+        else:
+            memory.transfer(num_bytes, tag=tag)
+
+    def charge_invocation(
+        self,
+        ip_name: str,
+        work_units: float,
+        bytes_in: int = 0,
+        bytes_out: int = 0,
+        tag: str = TAG_EVENT,
+    ) -> None:
+        """Charge one IP invocation, as :meth:`IpBlock.invoke` does.
+
+        Direct on a columnar SoC while the block is IDLE, where
+        ``invoke`` would neither wake it nor charge anything but the
+        invocation (``invocation_count`` is not updated); a sleeping
+        block is invoked as usual, paying its wake-up.
+        """
+        block = self.ip(ip_name)
+        if self._ledger is not None and block.state is PowerState.IDLE:
+            joules = block.energy_for(work_units, bytes_in=bytes_in, bytes_out=bytes_out)
+            self._charge_direct(block, joules, tag)
+        else:
+            block.invoke(work_units, bytes_in=bytes_in, bytes_out=bytes_out, tag=tag)
+
+    def _charge_direct(self, component: HardwareComponent, joules: float, tag: str) -> None:
+        slot = (component.name, tag)
+        key_id = self._key_ids.get(slot)
+        if key_id is None:
+            key_id = self._key_ids[slot] = charge_key_id(
+                component.name, component.group, tag
+            )
+        self._ledger.charge_id(key_id, joules, component.name)
 
     def report(self) -> EnergyReport:
         """Snapshot of the shared meter."""

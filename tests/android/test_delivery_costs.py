@@ -1,14 +1,26 @@
 """Cost-model tests for the delivery path and upkeep accounting."""
 
+import dataclasses
+import pickle
+
 import pytest
 
-from repro.android.dispatch import charge_delivery, charge_trace, charge_upkeep
+from repro.android.dispatch import (
+    BatchedEventLoop,
+    EventLoop,
+    charge_delivery,
+    charge_trace,
+    charge_upkeep,
+)
 from repro.android.binder import Binder
 from repro.android.events import EventType, make_frame_tick, make_gyro, make_touch
 from repro.android.sensor_hub import SensorHub
 from repro.android.sensor_manager import SensorManager
-from repro.games.registry import create_game
+from repro.games.registry import GAME_CONTENT_SEED, create_game, fresh_game
+from repro.soc.energy import ColumnarMeter
+from repro.soc.power_profiles import pixel_xl_profiles
 from repro.soc.soc import IP_GPU, snapdragon_821
+from repro.users.tracegen import columnar_session
 
 
 @pytest.fixture()
@@ -84,3 +96,54 @@ class TestChargeTraceFidelity:
         # estimate_trace_energy excludes only wake transients, which a
         # fresh idle SoC does not incur here.
         assert charged == pytest.approx(predicted, rel=1e-9)
+
+
+def _play(loop, events, duration_s):
+    """Deliver a session through ``loop``, advancing its SoC's clock."""
+    soc = loop.soc
+    clock = 0.0
+    for event in events:
+        if event.timestamp > clock:
+            soc.advance_time(event.timestamp - clock)
+            clock = event.timestamp
+        loop.deliver(event)
+    soc.advance_time(duration_s - clock)
+    return soc.report()
+
+
+class TestBatchedLoopProfiles:
+    def test_patterns_follow_the_socs_power_profiles(self):
+        """Static delivery/upkeep patterns are priced with the SoC's own
+        profiles, not the default phone's."""
+        defaults = pixel_xl_profiles()
+        custom = dataclasses.replace(
+            defaults,
+            cpu=dataclasses.replace(
+                defaults.cpu, big_energy_per_cycle=2 * defaults.cpu.big_energy_per_cycle
+            ),
+        )
+        events = columnar_session("candy_crush", 1, 2.0).events
+        # A default-profile session first, so a pattern cache keyed
+        # without the profiles would already hold the wrong prices.
+        _play(
+            BatchedEventLoop(
+                snapdragon_821(meter=ColumnarMeter()),
+                fresh_game("candy_crush", seed=GAME_CONTENT_SEED),
+            ),
+            events, 2.0,
+        )
+        batched = _play(
+            BatchedEventLoop(
+                snapdragon_821(profiles=custom, meter=ColumnarMeter()),
+                fresh_game("candy_crush", seed=GAME_CONTENT_SEED),
+            ),
+            events, 2.0,
+        )
+        scalar = _play(
+            EventLoop(
+                snapdragon_821(profiles=custom),
+                create_game("candy_crush", seed=GAME_CONTENT_SEED),
+            ),
+            events, 2.0,
+        )
+        assert pickle.dumps(batched) == pickle.dumps(scalar)

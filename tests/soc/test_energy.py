@@ -1,15 +1,37 @@
 """Tests for the energy ledger."""
 
-import pytest
+import pickle
 
-from repro.soc.component import ComponentGroup
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.android.dispatch import charge_trace
+from repro.android.events import EventType, make_frame_tick, make_gyro, make_touch
+from repro.core.fields import FieldInfo
+from repro.core.runtime import SnipRuntime
+from repro.core.selection import SelectedInputs
+from repro.core.table import SnipTable, TableEntry
+from repro.errors import SimulationError
+from repro.games.base import (
+    CpuFuncCall,
+    FieldWrite,
+    InputCategory,
+    IpCall,
+    OutputCategory,
+    ProcessingTrace,
+)
+from repro.games.registry import GAME_CONTENT_SEED, create_game
+from repro.soc.component import ComponentGroup, PowerState
 from repro.soc.energy import (
+    ColumnarMeter,
     EnergyMeter,
     TAG_EVENT,
     TAG_IDLE,
     TAG_LOOKUP,
     merge_reports,
 )
+from repro.soc.soc import snapdragon_821
 
 
 class TestCharging:
@@ -102,3 +124,185 @@ class TestMerge:
         second.charge("gpu", ComponentGroup.IP, 2.0)
         merged = merge_reports([first.report(), second.report()])
         assert set(merged.by_component) == {"cpu", "gpu"}
+
+
+# -- columnar ledger vs the scalar meter ----------------------------------
+
+#: Every component of a ``snapdragon_821`` SoC, by ledger name.
+COMPONENTS = (
+    "cpu", "dram", "gpu", "display", "video_codec", "audio_codec", "isp",
+    "dsp", "sensor_hub", "touch", "gyro", "accel", "gps", "camera",
+)
+IP_BLOCKS = COMPONENTS[2:9]
+
+#: One event per probed type: a scan-out type, and two that are not.
+EVENTS = {
+    EventType.FRAME_TICK: make_frame_tick(),
+    EventType.TOUCH: make_touch(3, 4),
+    EventType.GYRO: make_gyro(0.1, 0.2, 0.3, 0),
+}
+
+#: Intervals down to the smallest subnormal, whose idle charges all
+#: round to zero and must be skipped.
+intervals = st.one_of(
+    st.sampled_from([5e-324, 1e-323, 2e-310, 1e-300]),
+    st.floats(min_value=0.0, max_value=5.0, allow_nan=False),
+)
+cycles = st.integers(min_value=-2, max_value=5_000_000)
+sizes = st.integers(min_value=-2, max_value=2_000_000)
+ip_calls = st.builds(
+    IpCall,
+    ip_name=st.sampled_from(IP_BLOCKS),
+    work_units=st.one_of(st.just(-1.0), st.floats(min_value=0.0, max_value=40.0)),
+    bytes_in=sizes,
+    bytes_out=sizes,
+)
+cpu_funcs = st.builds(
+    CpuFuncCall, name=st.just("kernel"), key=st.just(()), cycles=cycles,
+    big=st.booleans(),
+)
+traces = st.builds(
+    ProcessingTrace,
+    event_sequence=st.just(0),
+    event_type=st.just(EventType.TOUCH),
+    ip_calls=st.lists(ip_calls, max_size=4),
+    cpu_funcs=st.lists(cpu_funcs, max_size=3),
+    cpu_big_cycles=cycles,
+    cpu_little_cycles=cycles,
+    memory_bytes=sizes,
+)
+steps = st.one_of(
+    st.tuples(st.just("advance"), st.one_of(intervals, st.just(-1.0))),
+    # The charged components twice as often as the sensors, whose
+    # power state only changes the idle pattern.
+    st.tuples(
+        st.sampled_from(["sleep", "wake", "off"]),
+        st.sampled_from(COMPONENTS[:9] * 2 + COMPONENTS[9:]),
+    ),
+    st.tuples(st.just("trace"), traces),
+    st.tuples(st.just("probe"), st.sampled_from(sorted(EVENTS, key=str))),
+    st.tuples(
+        st.just("hit"), st.sampled_from(sorted(EVENTS, key=str)),
+        st.integers(min_value=0, max_value=4096),
+    ),
+)
+
+
+@pytest.fixture(scope="module")
+def probe_game():
+    return create_game("candy_crush", seed=GAME_CONTENT_SEED)
+
+
+def _runtime(soc, game):
+    """A runtime whose table knows every probed type, for its charges."""
+    selection = SelectedInputs(
+        by_event_type={
+            event_type: [FieldInfo(f"event:f{index}", InputCategory.EVENT, 4 + 4 * index)]
+            for index, event_type in enumerate(EVENTS)
+        }
+    )
+    return SnipRuntime(soc, game, SnipTable(selection))
+
+
+def _apply(soc, runtime, step):
+    """Run one step; returns the exception type it raised, or None."""
+    kind = step[0]
+    try:
+        if kind == "advance":
+            soc.advance_time(step[1])
+        elif kind == "sleep":
+            soc.all_components()[step[1]].sleep()
+        elif kind == "wake":
+            soc.all_components()[step[1]].wake()
+        elif kind == "off":
+            soc.all_components()[step[1]].transition(PowerState.OFF)
+        elif kind == "trace":
+            charge_trace(soc, step[1])
+        elif kind == "probe":
+            runtime._charge_probe(EVENTS[step[1]])
+        else:
+            write = FieldWrite("hist:score", OutputCategory.HISTORY, 1, step[2], True)
+            entry = TableEntry(writes=(write,), avg_cycles=1.0, profile_weight=1.0)
+            runtime._charge_hit(EVENTS[step[1]], entry)
+    except (ValueError, SimulationError) as error:
+        return type(error)
+    return None
+
+
+def _negative(step) -> bool:
+    """Whether ``step`` carries a negative quantity that must raise."""
+    if step[0] == "advance":
+        return step[1] < 0
+    if step[0] != "trace":
+        return False
+    trace = step[1]
+    # ``charge_trace`` charges the cycle totals, sub-functions included.
+    big = trace.cpu_big_cycles + sum(f.cycles for f in trace.cpu_funcs if f.big)
+    little = trace.cpu_little_cycles + sum(
+        f.cycles for f in trace.cpu_funcs if not f.big
+    )
+    return (
+        big < 0
+        or little < 0
+        or trace.memory_bytes < 0
+        or any(
+            min(call.work_units, call.bytes_in, call.bytes_out) < 0
+            for call in trace.ip_calls
+        )
+    )
+
+
+def _trace(**work):
+    return ProcessingTrace(event_sequence=0, event_type=EventType.TOUCH, **work)
+
+
+class TestColumnarMatchesScalar:
+    @settings(max_examples=200, deadline=None)
+    @given(sequence=st.lists(steps, min_size=1, max_size=60))
+    # Each non-IDLE target the direct paths must hand to the component.
+    @example([("sleep", "gpu"), ("trace", _trace(ip_calls=[IpCall("gpu", 2.0, 64, 64)]))])
+    @example([("off", "dsp"), ("advance", 0.5), ("trace", _trace(ip_calls=[IpCall("dsp", 1.0, 0, 8)]))])
+    @example([("sleep", "cpu"), ("probe", EventType.TOUCH), ("advance", 0.25)])
+    @example([("sleep", "cpu"), ("trace", _trace(cpu_little_cycles=1000))])
+    @example([("sleep", "dram"), ("advance", 1.0), ("trace", _trace(memory_bytes=4096))])
+    @example([("sleep", "display"), ("hit", EventType.FRAME_TICK, 64)])
+    @example([("advance", 5e-324), ("advance", 1e-323), ("advance", 0.5)])
+    def test_same_steps_same_report_bytes(self, probe_game, sequence):
+        scalar = snapdragon_821()
+        columnar = snapdragon_821(meter=ColumnarMeter())
+        sides = [(soc, _runtime(soc, probe_game)) for soc in (scalar, columnar)]
+        for step in sequence:
+            outcomes = [_apply(soc, runtime, step) for soc, runtime in sides]
+            assert outcomes[0] is outcomes[1], step
+            if _negative(step):
+                assert outcomes[0] is not None, step
+        assert pickle.dumps(columnar.report()) == pickle.dumps(scalar.report())
+        assert columnar.elapsed_seconds == scalar.elapsed_seconds
+        assert [c.state for c in columnar.all_components().values()] == [
+            c.state for c in scalar.all_components().values()
+        ]
+
+    def test_fold_orders_every_axis_by_first_charge(self):
+        meter = ColumnarMeter()
+        scalar = EnergyMeter()
+        charges = [
+            ("gpu", ComponentGroup.IP, 2.0, TAG_LOOKUP),
+            ("cpu", ComponentGroup.CPU, 0.1, TAG_EVENT),
+            ("gpu", ComponentGroup.IP, 0.2, TAG_EVENT),
+            ("dram", ComponentGroup.MEMORY, 0.3, TAG_IDLE),
+            ("cpu", ComponentGroup.CPU, 0.7, TAG_LOOKUP),
+        ]
+        for component, group, joules, tag in charges:
+            meter.charge(component, group, joules, tag)
+            scalar.charge(component, group, joules, tag)
+        report = meter.report()
+        assert list(report.by_component) == ["gpu", "cpu", "dram"]
+        assert list(report.by_tag) == [TAG_LOOKUP, TAG_EVENT, TAG_IDLE]
+        assert pickle.dumps(report) == pickle.dumps(scalar.report())
+
+    def test_negative_and_zero_charges(self):
+        meter = ColumnarMeter()
+        with pytest.raises(ValueError):
+            meter.charge("cpu", ComponentGroup.CPU, -0.1)
+        meter.charge("cpu", ComponentGroup.CPU, 0.0)
+        assert meter.report().by_component == {}
