@@ -89,7 +89,6 @@ def _worker(devices: int) -> int:
         spec,
         telemetry=telemetry,
         cache=None,
-        max_live_shards=MAX_LIVE_SHARDS,
     )
     engine.build_package()  # profile outside the timed window
     start = time.perf_counter()
@@ -146,7 +145,6 @@ def _equivalence_check() -> dict:
         spec,
         executor=QueueFleetExecutor(jobs=2),
         cache=None,
-        max_live_shards=MAX_LIVE_SHARDS,
     ).run()
     executors_identical = (
         serial.to_text() == queued.to_text()

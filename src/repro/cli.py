@@ -133,11 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--jobs", type=int, default=1)
     fleet.add_argument("--shard-size", type=int, default=8)
     fleet.add_argument(
-        "--max-live-shards", type=int, default=None, metavar="N",
-        help="cap on shard results held in memory awaiting their fold "
-             "turn (overflow spills to disk)",
-    )
-    fleet.add_argument(
         "--format", choices=("text", "json"), default="text",
         help="report rendering (both byte-identical across schedules)",
     )
@@ -234,10 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--registry", default=None, metavar="DIR",
         help="registry directory (default: <run-dir>/registry)",
-    )
-    serve.add_argument(
-        "--max-live-shards", type=int, default=None, metavar="N",
-        help="cap on shard results held in memory awaiting their fold turn",
     )
     serve.add_argument(
         "--format", choices=("text", "json"), default="text",
@@ -488,7 +479,6 @@ def _cmd_federate(args, out) -> int:
 
 def _cmd_fleet(args, out) -> int:
     from repro.fleet import FleetEngine, FleetSpec, TelemetryBus, make_executor
-    from repro.fleet.engine import DEFAULT_MAX_LIVE_SHARDS
     from repro.fleet.telemetry import progress_printer
 
     spec = FleetSpec(
@@ -507,11 +497,6 @@ def _cmd_fleet(args, out) -> int:
     if args.progress:
         telemetry.subscribe(progress_printer(sys.stderr))
     executor = make_executor(args.jobs)
-    max_live = (
-        args.max_live_shards
-        if args.max_live_shards is not None
-        else DEFAULT_MAX_LIVE_SHARDS
-    )
     if args.challenger_fraction > 0:
         from repro.errors import PromotionError, RegistryError
         from repro.registry import PackageRegistry, run_staged_rollout
@@ -528,7 +513,6 @@ def _cmd_fleet(args, out) -> int:
                 executor=executor,
                 telemetry=telemetry,
                 checkpoint=args.checkpoint,
-                max_live_shards=max_live,
             )
         except (RegistryError, PromotionError) as exc:
             print(f"fleet rollout error: {exc}", file=sys.stderr)
@@ -544,7 +528,6 @@ def _cmd_fleet(args, out) -> int:
         telemetry=telemetry,
         checkpoint=args.checkpoint,
         cache=_cache_mode(args),
-        max_live_shards=max_live,
     )
     report = engine.run()
     print(report.to_json() if args.format == "json" else report.to_text(), file=out)
@@ -554,7 +537,6 @@ def _cmd_fleet(args, out) -> int:
 def _cmd_serve(args, out) -> int:
     from repro.errors import ServiceError
     from repro.fleet import TelemetryBus, make_executor
-    from repro.fleet.engine import DEFAULT_MAX_LIVE_SHARDS
     from repro.registry import PackageRegistry
     from repro.service import ServiceConfig, SnipService
     from repro.service.daemon import service_progress_printer
@@ -588,11 +570,6 @@ def _cmd_serve(args, out) -> int:
             registry=PackageRegistry(args.registry) if args.registry else None,
             executor=make_executor(args.jobs),
             telemetry=telemetry,
-            max_live_shards=(
-                args.max_live_shards
-                if args.max_live_shards is not None
-                else DEFAULT_MAX_LIVE_SHARDS
-            ),
         )
         result = service.run(cycles=args.cycles)
     except ServiceError as exc:

@@ -444,26 +444,6 @@ class FederatedAggregator:
             self._writes.setdefault(signature, writes)
         self._contributions += 1
 
-    def absorb(self, other: "FederatedAggregator") -> None:
-        """Merge another aggregator's partial state into this one.
-
-        Used to combine per-range partial reductions; ``other`` must
-        cover device ids after this aggregator's (left-to-right merge
-        order, matching the canonical device order).
-        """
-        for slot, votes in other._votes.items():
-            self._votes[slot].update(votes)
-            confirming = self._confirming[slot]
-            for device_id in other._confirming.get(slot, ()):
-                _note_device(confirming, device_id, MIN_CONFIRMING_DEVICES)
-            self._occurrences[slot] += other._occurrences[slot]
-            self._cycle_sums[slot] += other._cycle_sums[slot]
-        for device_id in other._contributors:
-            _note_device(self._contributors, device_id, 2)
-        for signature, writes in other._writes.items():
-            self._writes.setdefault(signature, writes)
-        self._contributions += other._contributions
-
     def build_table(self) -> SnipTable:
         """Materialise the gated table from the fleet aggregate.
 

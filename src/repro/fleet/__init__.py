@@ -4,22 +4,17 @@ Shards a device population into chunks, executes per-device game
 sessions across a ``multiprocessing`` worker pool (serial fallback and
 bounded-queue backend share the same interface), and **streams** shard
 results through fold-style reducers in canonical device order — each
-result is folded and dropped as it completes, so memory stays bounded
-by ``max_live_shards`` at any fleet size. Supports checkpoint/resume
-of partially completed sweeps (corrupt shard files are evicted as
-resumable misses). Seeded per-device RNG derivation plus the ordered
-fold make aggregates byte-identical across ``--jobs`` settings,
-executors, and shard sizes.
+result is folded and dropped as it completes, and the executor's
+submission window bounds the results awaiting their turn, so memory
+stays flat at any fleet size. Supports checkpoint/resume of partially
+completed sweeps (corrupt shard files are evicted as resumable
+misses). Seeded per-device RNG derivation plus the ordered fold make
+aggregates byte-identical across ``--jobs`` settings, executors, and
+shard sizes.
 """
 
 from repro.fleet.checkpoint import CheckpointStore
-from repro.fleet.engine import (
-    DEFAULT_MAX_LIVE_SHARDS,
-    FleetEngine,
-    FleetReport,
-    peak_rss_bytes,
-    run_fleet,
-)
+from repro.fleet.engine import FleetEngine, FleetReport, peak_rss_bytes
 from repro.fleet.executors import (
     DEFAULT_RETRY_BUDGET,
     FleetExecutor,
@@ -50,7 +45,6 @@ __all__ = [
     "CheckpointStore",
     "CohortTotalsAccumulator",
     "ContributionsAccumulator",
-    "DEFAULT_MAX_LIVE_SHARDS",
     "DEFAULT_RETRY_BUDGET",
     "DeviceResult",
     "EnergyAccumulator",
@@ -75,6 +69,5 @@ __all__ = [
     "progress_printer",
     "reduce_contributions",
     "run_device",
-    "run_fleet",
     "run_shard",
 ]

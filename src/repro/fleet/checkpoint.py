@@ -183,7 +183,7 @@ class CheckpointStore:
         ]
 
     def discard(self, index: int) -> None:
-        """Remove one persisted shard file (eviction/spill cleanup)."""
+        """Remove one persisted shard file (corrupt-shard eviction)."""
         try:
             self.shard_path(index).unlink()
         except OSError:
@@ -202,9 +202,9 @@ class CheckpointStore:
     def _persist_evictions(self) -> None:
         """Record the running eviction total in the manifest.
 
-        Best-effort: stores without a (readable) manifest — e.g. the
-        engine's anonymous spill directories — keep the in-memory
-        counter only.
+        Best-effort: a store whose manifest is missing or unreadable
+        (never initialised, or damaged) keeps the in-memory counter
+        only.
         """
         try:
             manifest = json.loads(self.manifest_path.read_text())

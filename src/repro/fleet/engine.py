@@ -3,16 +3,15 @@
 :class:`FleetEngine` drives one :class:`~repro.fleet.spec.FleetSpec`
 end to end: build the shipped profile once, deal devices into shards,
 run the shards on any :class:`~repro.fleet.executors.FleetExecutor`
-(serial, pool, or queue — same results either way), and **fold** each
+(serial or queue — same results either way), and **fold** each
 :class:`~repro.fleet.work.ShardResult` into the aggregates as the
 executor completes it. Results are consumed through
 :class:`~repro.fleet.reducers.FleetFold` strictly in shard-index order
 (a reorder buffer bridges completion order to fold order), then
-dropped — the engine never holds more than ``max_live_shards`` results
-in memory, so peak RSS is bounded by the shard size and the buffer,
-not the fleet size. Out-of-order results beyond the buffer spill to
-the checkpoint store (already persisted) or a temporary spill
-directory. The rendered :class:`FleetReport` stays byte-identical
+dropped. The executor's window bounds the buffer — one result on the
+serial executor, at most ``QueueFleetExecutor.window`` on the pool —
+so peak RSS is bounded by the shard size and the window, not the
+fleet size. The rendered :class:`FleetReport` stays byte-identical
 across ``--jobs`` settings, executors, shard sizes, and
 interrupt/resume cycles.
 """
@@ -22,9 +21,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import resource
-import shutil
 import sys
-import tempfile
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from pathlib import Path
@@ -36,11 +33,7 @@ from repro.core.profiler import CloudProfiler, SnipPackage
 from repro.core.table import SnipTable
 from repro.errors import FleetError
 from repro.fleet.checkpoint import CheckpointStore
-from repro.fleet.executors import (
-    DEFAULT_RETRY_BUDGET,
-    FleetExecutor,
-    SerialExecutor,
-)
+from repro.fleet.executors import FleetExecutor, SerialExecutor
 from repro.fleet.reducers import FleetFold, FleetTotals
 from repro.fleet.spec import FleetSpec
 from repro.fleet.telemetry import (
@@ -54,13 +47,6 @@ from repro.fleet.work import ShardResult, ShardTask, run_shard
 from repro.soc.component import ComponentGroup
 from repro.soc.energy import EnergyReport
 from repro.units import format_bytes
-
-#: Default cap on shard results held in memory awaiting their fold
-#: turn. Large enough that mild completion-order skew never touches
-#: disk, small enough to keep the reducer's footprint flat at any
-#: fleet size.
-DEFAULT_MAX_LIVE_SHARDS = 8
-
 
 def peak_rss_bytes() -> int:
     """This process's resident-set high-water mark, in bytes.
@@ -264,11 +250,9 @@ class FleetEngine:
         config: Optional[SnipConfig] = None,
         telemetry: Optional[TelemetryBus] = None,
         checkpoint: Optional[Union[str, Path, CheckpointStore]] = None,
-        retry_budget: int = DEFAULT_RETRY_BUDGET,
         cache: Union[PackageCache, None, str] = "auto",
         package: Optional[SnipPackage] = None,
         challenger: Optional[SnipPackage] = None,
-        max_live_shards: int = DEFAULT_MAX_LIVE_SHARDS,
         shard_observer: Optional[Callable[[ShardResult], None]] = None,
     ) -> None:
         """``package``/``challenger`` inject pre-built artifacts.
@@ -277,13 +261,10 @@ class FleetEngine:
         packages from registered digests and passes them here; without
         an injected ``package`` the engine profiles its own from the
         spec's profile seeds. A spec with ``challenger_fraction > 0``
-        requires a ``challenger``. ``max_live_shards`` caps the shard
-        results the reducer holds awaiting their fold turn; overflow
-        spills to the checkpoint store (already persisted) or a
-        temporary directory. ``shard_observer`` is called with each
-        shard result in strict shard-index order (the fold order), so
-        consumers see a deterministic stream regardless of executor or
-        completion order.
+        requires a ``challenger``. ``shard_observer`` is called with
+        each shard result in strict shard-index order (the fold order),
+        so consumers see a deterministic stream regardless of executor
+        or completion order.
         """
         self.spec = spec
         self.executor = executor or SerialExecutor()
@@ -292,15 +273,9 @@ class FleetEngine:
         if checkpoint is not None and not isinstance(checkpoint, CheckpointStore):
             checkpoint = CheckpointStore(checkpoint)
         self.checkpoint = checkpoint
-        self.retry_budget = retry_budget
         self.cache = cache
         self._package = package
         self.challenger = challenger
-        if max_live_shards < 1:
-            raise FleetError(
-                f"max_live_shards must be positive, got {max_live_shards}"
-            )
-        self.max_live_shards = max_live_shards
         self.shard_observer = shard_observer
         if spec.challenger_fraction > 0 and challenger is None:
             raise FleetError(
@@ -333,10 +308,9 @@ class FleetEngine:
     def run(self) -> FleetReport:
         """Execute the sweep (resuming checkpointed shards), fold, report.
 
-        Results are folded in shard-index order as they complete; each
-        is dropped (or spilled to disk) immediately after folding, so
-        memory stays bounded by ``max_live_shards`` however large the
-        fleet is.
+        Results are folded in shard-index order as they complete and
+        dropped immediately after folding, so memory stays bounded by
+        the executor's window however large the fleet is.
         """
         spec = self.spec
         package = self.build_package()
@@ -364,36 +338,23 @@ class FleetEngine:
             spec, remaining, package, self.challenger, self.config
         )
         buffer: Dict[int, ShardResult] = {}
-        self._spill: Optional[CheckpointStore] = None
-        self._spill_dir: Optional[str] = None
-        try:
-            stream = self.executor.stream(
-                run_shard,
-                tasks,
-                telemetry=self.telemetry,
-                retry_budget=self.retry_budget,
-            )
-            for _, result in stream:
-                if self.checkpoint is not None:
-                    self.checkpoint.save(result)
-                buffer[result.shard_index] = result
-                # Gauge the buffer at its high-water mark — after the
-                # insert, before the in-order drain empties it —
-                # otherwise peak_live_shards reads 0 on every run that
-                # folds shards as fast as they arrive.
-                self.telemetry.emit(LIVE_SHARDS, count=len(buffer))
-                self._drain(fold, buffer, on_disk)
-                self._enforce_buffer_cap(buffer, on_disk)
-                self.telemetry.emit(PEAK_RSS, bytes=peak_rss_bytes())
-            # Anything still unfolded sits on disk (resumed shards past
-            # the last fresh one, or spilled stragglers).
+        for _, result in self.executor.stream(
+            run_shard, tasks, telemetry=self.telemetry
+        ):
+            if self.checkpoint is not None:
+                self.checkpoint.save(result)
+            buffer[result.shard_index] = result
+            # Gauge the buffer at its high-water mark — after the
+            # insert, before the in-order drain empties it — otherwise
+            # peak_live_shards reads 0 on every run that folds shards
+            # as fast as they arrive.
+            self.telemetry.emit(LIVE_SHARDS, count=len(buffer))
             self._drain(fold, buffer, on_disk)
-            reduction = fold.finalize()
-        finally:
-            if self._spill_dir is not None:
-                shutil.rmtree(self._spill_dir, ignore_errors=True)
-                self._spill = None
-                self._spill_dir = None
+            self.telemetry.emit(PEAK_RSS, bytes=peak_rss_bytes())
+        # Anything still unfolded is a resumed shard past the last
+        # fresh one, waiting in the checkpoint.
+        self._drain(fold, buffer, on_disk)
+        reduction = fold.finalize()
         fleet_table, uplink = (
             reduction.federated if reduction.federated else (None, 0)
         )
@@ -432,66 +393,11 @@ class FleetEngine:
             if index in buffer:
                 result = buffer.pop(index)
             elif index in on_disk:
-                result = self._fetch(index)
+                assert self.checkpoint is not None  # on_disk is filled from it
+                result = self.checkpoint.load(index)
                 on_disk.discard(index)
             else:
                 return
             if self.shard_observer is not None:
                 self.shard_observer(result)
             fold.fold(result)
-
-    def _enforce_buffer_cap(
-        self, buffer: Dict[int, ShardResult], on_disk: Set[int]
-    ) -> None:
-        """Spill the furthest-from-fold results past ``max_live_shards``.
-
-        The largest buffered index is the last one the fold will want,
-        so evicting it keeps the shards about to fold in memory. With a
-        checkpoint configured the result is already persisted — spilling
-        is just forgetting the in-memory copy.
-        """
-        while len(buffer) > self.max_live_shards:
-            index = max(buffer)
-            result = buffer.pop(index)
-            if self.checkpoint is None:
-                self._spill_store().save(result)
-            on_disk.add(index)
-
-    def _spill_store(self) -> CheckpointStore:
-        """The temp store backing spills on checkpoint-less runs."""
-        if self._spill is None:
-            self._spill_dir = tempfile.mkdtemp(prefix="fleet-spill-")
-            self._spill = CheckpointStore(self._spill_dir)
-            self._spill.shard_dir.mkdir(parents=True, exist_ok=True)
-        return self._spill
-
-    def _fetch(self, index: int) -> ShardResult:
-        """Re-load one spilled or checkpointed shard for folding."""
-        store = self.checkpoint if self.checkpoint is not None else self._spill
-        if store is None:
-            raise FleetError(
-                f"shard {index} is marked on disk but no store holds it"
-            )
-        result = store.load(index)
-        if store is self._spill:
-            store.discard(index)
-        return result
-
-
-def run_fleet(
-    spec: FleetSpec,
-    executor: Optional[FleetExecutor] = None,
-    config: Optional[SnipConfig] = None,
-    telemetry: Optional[TelemetryBus] = None,
-    checkpoint: Optional[Union[str, Path, CheckpointStore]] = None,
-    max_live_shards: int = DEFAULT_MAX_LIVE_SHARDS,
-) -> FleetReport:
-    """Convenience one-shot: build an engine and run it."""
-    return FleetEngine(
-        spec,
-        executor=executor,
-        config=config,
-        telemetry=telemetry,
-        checkpoint=checkpoint,
-        max_live_shards=max_live_shards,
-    ).run()

@@ -11,19 +11,21 @@ self-contained and results carry their index, the choice of executor
 need payload-ordered lists use :meth:`FleetExecutor.run`, which slots
 the stream by index.
 
-:class:`QueueFleetExecutor` is the multi-worker backend: it keeps a
-bounded submission window (``jobs * PREFETCH``) over the payload
-sequence instead of materialising every future upfront, so a million-
-device sweep holds only the in-flight tasks in memory, and it reports
-its backlog through ``queue_depth`` telemetry gauges.
+:class:`QueueFleetExecutor` is the multi-worker backend: it submits
+from a window of ``jobs * PREFETCH`` indices anchored at the oldest
+payload whose result is still owed, instead of materialising every
+future upfront. A million-device sweep therefore holds only the
+in-flight tasks in memory, and a consumer that restores payload order
+holds at most ``window`` results. Backlog depth is reported through
+``queue_depth`` telemetry gauges.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import FleetError, WorkerCrashError
 from repro.fleet.telemetry import (
@@ -64,6 +66,14 @@ class FleetExecutor:
         drop each one instead of collecting the whole sweep. Payloads
         may be any sequence — including a lazily materialising one —
         and are only indexed when (re)submitted.
+
+        Window bound: every yielded index is below ``oldest + window``,
+        where ``oldest`` is the smallest index not yet yielded and
+        ``window`` is 1 for :class:`SerialExecutor` (payload order) and
+        :attr:`QueueFleetExecutor.window` for the pool. A consumer that
+        restores payload order therefore holds at most ``window``
+        results at once. Telemetry names each payload by its own
+        ``shard_index`` when it has one, by its index otherwise.
         """
         raise NotImplementedError
 
@@ -72,23 +82,18 @@ class FleetExecutor:
         fn: Callable[[Any], Any],
         payloads: Sequence[Any],
         telemetry: Optional[TelemetryBus] = None,
-        on_result: Optional[Callable[[int, Any], None]] = None,
         retry_budget: int = DEFAULT_RETRY_BUDGET,
     ) -> List[Any]:
         """Run ``fn`` over ``payloads``; results ordered by payload index.
 
-        ``on_result(index, result)`` fires as each result lands (in
-        completion order), while the returned list is always
-        index-ordered. Materialises every result — callers that can
-        fold incrementally should consume :meth:`stream` instead.
+        Materialises every result — callers that can fold
+        incrementally should consume :meth:`stream` instead.
         """
         results: List[Any] = [None] * len(payloads)
         for index, result in self.stream(
             fn, payloads, telemetry=telemetry, retry_budget=retry_budget
         ):
             results[index] = result
-            if on_result:
-                on_result(index, result)
         return results
 
 
@@ -100,13 +105,20 @@ class _RetryBudget:
             raise FleetError(f"retry budget must be non-negative, got {budget}")
         self._remaining = budget
 
-    def spend(self, index: Optional[int], error: BaseException) -> None:
+    def spend(self, shard: Optional[int], error: BaseException) -> None:
         """Consume one retry, or raise when the budget is gone."""
         if self._remaining <= 0:
             raise WorkerCrashError(
-                f"retry budget exhausted at shard {index}: {error!r}"
+                f"retry budget exhausted at shard {shard}: {error!r}"
             ) from error
         self._remaining -= 1
+
+
+def _shard_label(payload: Any, index: int) -> int:
+    """Telemetry's name for ``payloads[index]``: the payload's own
+    ``shard_index`` when it has one (a resumed fleet skips checkpointed
+    shards, so positions are not shard numbers), else the index."""
+    return getattr(payload, "shard_index", index)
 
 
 class SerialExecutor(FleetExecutor):
@@ -130,23 +142,25 @@ class SerialExecutor(FleetExecutor):
         total = len(payloads)
         for index in range(total):
             while True:
+                payload = payloads[index]
+                label = _shard_label(payload, index)
                 started = telemetry.elapsed_seconds() if telemetry else 0.0
                 if telemetry:
-                    telemetry.emit(SHARD_STARTED, shard_index=index)
+                    telemetry.emit(SHARD_STARTED, shard_index=label)
                 try:
-                    result = fn(payloads[index])
+                    result = fn(payload)
                 except Exception as exc:
-                    budget.spend(index, exc)
+                    budget.spend(label, exc)
                     if telemetry:
                         telemetry.emit(
-                            WORKER_FAILURE, shard_index=index, error=repr(exc)
+                            WORKER_FAILURE, shard_index=label, error=repr(exc)
                         )
-                        telemetry.emit(SHARD_RETRIED, shard_index=index)
+                        telemetry.emit(SHARD_RETRIED, shard_index=label)
                     continue
                 wall_s = (
                     telemetry.elapsed_seconds() - started if telemetry else None
                 )
-                _announce(telemetry, index, result, wall_s=wall_s)
+                _announce(telemetry, label, result, wall_s=wall_s)
                 if telemetry:
                     telemetry.emit(QUEUE_DEPTH, depth=total - index - 1)
                 yield index, result
@@ -154,18 +168,21 @@ class SerialExecutor(FleetExecutor):
 
 
 class QueueFleetExecutor(FleetExecutor):
-    """Queue-fed pool executor with a bounded in-flight window.
+    """Queue-fed pool executor with an anchored submission window.
 
-    Payloads are drawn from a FIFO backlog and at most
-    ``jobs * PREFETCH`` are submitted at once, so neither the futures
-    table nor the unreduced results can grow with the sweep size.
-    Worker exceptions send the payload back to the backlog; a pool
-    crash (a worker killed outright) rebuilds the pool and puts every
-    payload submitted to the dead pool without a yielded result back
-    at the head of the backlog. Each failure, and each crash however
-    many payloads it took down, is charged once to the shared retry
-    budget. Emits ``queue_depth`` gauges so the telemetry bus tracks
-    how deep the unprocessed queue ran.
+    Payloads are drawn from a FIFO backlog, and index ``p`` is
+    submitted only while ``p < oldest + window``, where ``oldest`` is
+    the smallest index whose result has not been yielded — so neither
+    the futures table nor a consumer's reorder buffer grows with the
+    sweep size, however slow the oldest payload runs. Worker exceptions
+    send the payload back to the head of the backlog (the anchor cannot
+    pass it until it is yielded); a pool crash (a worker killed
+    outright) rebuilds the pool and puts every payload submitted to the
+    dead pool without a yielded result back at the head too. Each
+    failure, and each crash however many payloads it took down, is
+    charged once to the shared retry budget. Emits ``queue_depth``
+    gauges so the telemetry bus tracks how deep the unprocessed queue
+    ran.
     """
 
     def __init__(self, jobs: int) -> None:
@@ -175,7 +192,7 @@ class QueueFleetExecutor(FleetExecutor):
 
     @property
     def window(self) -> int:
-        """Most payloads submitted-but-unreduced at any moment."""
+        """How far past the oldest unyielded index submission may run."""
         return self.jobs * PREFETCH
 
     def stream(
@@ -187,26 +204,35 @@ class QueueFleetExecutor(FleetExecutor):
     ) -> Iterator[Tuple[int, Any]]:
         budget = _RetryBudget(retry_budget)
         backlog = deque(range(len(payloads)))
-        starts: dict = {}
+        # The window's anchor, and the indices past it already yielded.
+        oldest = 0
+        yielded: Set[int] = set()
         while backlog:
-            # Every payload submitted to the current pool whose result
-            # has not been yielded: an index leaves only once its
-            # future's outcome has been handled, so a crash re-queues
-            # exactly the work the dead pool still owed.
-            inflight: dict = {}
+            # ``(index, label, submitted at)`` of every payload submitted
+            # to the current pool whose result has not been yielded: an
+            # index leaves only once its future's outcome has been
+            # handled, so a crash re-queues exactly the work the dead
+            # pool still owed.
+            inflight: Dict[Future, Tuple[int, int, float]] = {}
             try:
                 with ProcessPoolExecutor(max_workers=self.jobs) as pool:
                     while backlog or inflight:
-                        while backlog and len(inflight) < self.window:
+                        # Re-queued indices at the head were submitted
+                        # before, so they always fit; fresh ones wait
+                        # for the anchor to move.
+                        while backlog and backlog[0] < oldest + self.window:
                             # Peek first: submit raises BrokenProcessPool
                             # once the pool has died, and the index must
                             # stay queued for the rebuilt pool.
                             index = backlog[0]
-                            inflight[pool.submit(fn, payloads[index])] = index
+                            payload = payloads[index]
+                            future = pool.submit(fn, payload)
                             backlog.popleft()
+                            label = _shard_label(payload, index)
+                            started = telemetry.elapsed_seconds() if telemetry else 0.0
+                            inflight[future] = (index, label, started)
                             if telemetry:
-                                starts[index] = telemetry.elapsed_seconds()
-                                telemetry.emit(SHARD_STARTED, shard_index=index)
+                                telemetry.emit(SHARD_STARTED, shard_index=label)
                         if telemetry:
                             telemetry.emit(
                                 QUEUE_DEPTH, depth=len(inflight) + len(backlog)
@@ -218,43 +244,45 @@ class QueueFleetExecutor(FleetExecutor):
                             except BrokenProcessPool:
                                 raise
                             except Exception as exc:
-                                index = inflight.pop(future)
-                                budget.spend(index, exc)
+                                index, label, _ = inflight.pop(future)
+                                budget.spend(label, exc)
                                 if telemetry:
                                     telemetry.emit(
                                         WORKER_FAILURE,
-                                        shard_index=index,
+                                        shard_index=label,
                                         error=repr(exc),
                                     )
-                                    telemetry.emit(
-                                        SHARD_RETRIED, shard_index=index
-                                    )
-                                backlog.append(index)
+                                    telemetry.emit(SHARD_RETRIED, shard_index=label)
+                                backlog.appendleft(index)
                                 continue
-                            index = inflight.pop(future)
+                            index, label, started = inflight.pop(future)
                             wall_s = (
-                                telemetry.elapsed_seconds() - starts[index]
+                                telemetry.elapsed_seconds() - started
                                 if telemetry
                                 else None
                             )
-                            _announce(telemetry, index, result, wall_s=wall_s)
+                            _announce(telemetry, label, result, wall_s=wall_s)
+                            yielded.add(index)
+                            while oldest in yielded:
+                                yielded.remove(oldest)
+                                oldest += 1
                             yield index, result
             except BrokenProcessPool as exc:
                 budget.spend(None, exc)
                 casualties = sorted(inflight.values())
                 # Put the crashed window back at the head of the queue
                 # so recovery re-runs the oldest work first.
-                for index in reversed(casualties):
+                for index, _, _ in reversed(casualties):
                     backlog.appendleft(index)
                 if telemetry:
                     telemetry.emit(WORKER_FAILURE, error="process pool crashed")
-                    for index in casualties:
-                        telemetry.emit(SHARD_RETRIED, shard_index=index)
+                    for _, label, _ in casualties:
+                        telemetry.emit(SHARD_RETRIED, shard_index=label)
 
 
 def _announce(
     telemetry: Optional[TelemetryBus],
-    index: int,
+    shard: int,
     result: Any,
     wall_s: Optional[float] = None,
 ) -> None:
@@ -277,7 +305,7 @@ def _announce(
             payload[name] = value
     if wall_s is not None:
         payload["wall_s"] = wall_s
-    telemetry.emit(SHARD_FINISHED, shard_index=index, **payload)
+    telemetry.emit(SHARD_FINISHED, shard_index=shard, **payload)
 
 
 def make_executor(jobs: int) -> FleetExecutor:

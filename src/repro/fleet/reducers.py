@@ -1,11 +1,10 @@
 """Incremental, order-canonical reduction of fleet shard outputs.
 
 Every fleet aggregate is produced by a fold-style **accumulator**
-(``init`` via the constructor, then ``update`` per device, ``merge``
-between partials, ``finalize`` once) so the engine can consume
-:class:`~repro.fleet.work.ShardResult`\\ s as the executor completes
-them and drop each one immediately — constant memory in the number of
-devices. :func:`reduce_contributions` stays as an independent
+(``init`` via the constructor, then ``update`` per device, ``finalize``
+once) so the engine can consume :class:`~repro.fleet.work.ShardResult`\\ s
+as the executor completes them and drop each one immediately — constant
+memory in the number of devices. :func:`reduce_contributions` stays as an independent
 collect-sort-federate reference for :class:`ContributionsAccumulator`.
 
 Determinism contract: floating-point addition is not associative, so
@@ -13,10 +12,9 @@ byte-identical reports require folding devices in **canonical device-id
 order**. :class:`FleetFold` enforces that by accepting shards strictly
 in shard-index order (shards hold contiguous ascending device ranges,
 so shard order *is* device order); the engine's reorder buffer feeds it
-that way however the scheduler completes the work. ``merge`` combines
-partial accumulators left-to-right and is deterministic for a fixed
-split, but splitting at different points changes the float summation
-tree — the engine therefore folds with ``update`` only.
+that way however the scheduler completes the work. There is no merge
+of partial accumulators: splitting the fold would change the float
+summation tree, so the engine folds with ``update`` only.
 """
 
 from __future__ import annotations
@@ -69,19 +67,13 @@ def canonical_device_results(
 class Accumulator(Generic[R]):
     """The fold contract every fleet reducer implements.
 
-    ``__init__`` is the *init* step; ``update`` folds one device;
-    ``merge`` absorbs another accumulator's partial state (caller
-    guarantees ``self``'s devices precede ``other``'s in canonical
-    order); ``finalize`` emits the aggregate. ``finalize`` may be
-    called once only — accumulators are single-shot.
+    ``__init__`` is the *init* step; ``update`` folds one device in
+    canonical order; ``finalize`` emits the aggregate. ``finalize`` may
+    be called once only — accumulators are single-shot.
     """
 
     def update(self, device: DeviceResult) -> None:
         """Fold one device result into the running aggregate."""
-        raise NotImplementedError
-
-    def merge(self, other: "Accumulator[R]") -> None:
-        """Absorb a partial accumulator covering later device ids."""
         raise NotImplementedError
 
     def finalize(self) -> R:
@@ -151,19 +143,6 @@ class TotalsAccumulator(Accumulator[FleetTotals]):
         self._executed += device.executed_cycles
         self._raw_bytes += device.raw_uplink_bytes
 
-    def merge(self, other: "Accumulator[FleetTotals]") -> None:
-        assert isinstance(other, TotalsAccumulator)
-        self._devices += other._devices
-        self._sessions += other._sessions
-        self._events += other._events
-        self._snip_joules += other._snip_joules
-        self._baseline_joules += other._baseline_joules
-        self._hits += other._hits
-        self._misses += other._misses
-        self._avoided += other._avoided
-        self._executed += other._executed
-        self._raw_bytes += other._raw_bytes
-
     def finalize(self) -> FleetTotals:
         return FleetTotals(
             devices=self._devices,
@@ -211,21 +190,6 @@ class EnergyAccumulator(Accumulator[Optional[EnergyReport]]):
         if device.report:
             self._fold(device.report)
 
-    def merge(self, other: "Accumulator[Optional[EnergyReport]]") -> None:
-        assert isinstance(other, EnergyAccumulator)
-        if not other._seen:
-            return
-        self._seen = True
-        self._total += other._total
-        for key, value in other._by_component.items():
-            self._by_component[key] = self._by_component.get(key, 0.0) + value
-        for group, value in other._by_group.items():
-            self._by_group[group] = self._by_group.get(group, 0.0) + value
-        for tag, value in other._by_tag.items():
-            self._by_tag[tag] = self._by_tag.get(tag, 0.0) + value
-        for pair, value in other._by_group_tag.items():
-            self._by_group_tag[pair] = self._by_group_tag.get(pair, 0.0) + value
-
     def finalize(self) -> Optional[EnergyReport]:
         if not self._seen:
             return None
@@ -246,11 +210,6 @@ class CensusAccumulator(Accumulator[Dict[str, int]]):
 
     def update(self, device: DeviceResult) -> None:
         self._counts[device.archetype] = self._counts.get(device.archetype, 0) + 1
-
-    def merge(self, other: "Accumulator[Dict[str, int]]") -> None:
-        assert isinstance(other, CensusAccumulator)
-        for name, count in other._counts.items():
-            self._counts[name] = self._counts.get(name, 0) + count
 
     def finalize(self) -> Dict[str, int]:
         return dict(sorted(self._counts.items()))
@@ -273,15 +232,6 @@ class CohortTotalsAccumulator(Accumulator[Dict[str, FleetTotals]]):
         if accumulator is None:
             accumulator = self._by_cohort[device.cohort] = TotalsAccumulator()
         accumulator.update(device)
-
-    def merge(self, other: "Accumulator[Dict[str, FleetTotals]]") -> None:
-        assert isinstance(other, CohortTotalsAccumulator)
-        for cohort, partial in other._by_cohort.items():
-            mine = self._by_cohort.get(cohort)
-            if mine is None:
-                self._by_cohort[cohort] = partial
-            else:
-                mine.merge(partial)
 
     def finalize(self) -> Dict[str, FleetTotals]:
         return {
@@ -313,14 +263,6 @@ class ContributionsAccumulator(
         self._seen = True
         self._uplink += contribution.upload_bytes
         self._aggregator.merge(contribution)
-
-    def merge(
-        self, other: "Accumulator[Optional[Tuple[SnipTable, int]]]"
-    ) -> None:
-        assert isinstance(other, ContributionsAccumulator)
-        self._seen = self._seen or other._seen
-        self._uplink += other._uplink
-        self._aggregator.absorb(other._aggregator)
 
     def finalize(self) -> Optional[Tuple[SnipTable, int]]:
         if not self._seen:

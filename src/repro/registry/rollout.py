@@ -21,7 +21,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.core.config import SnipConfig
 from repro.errors import PromotionError
-from repro.fleet.engine import DEFAULT_MAX_LIVE_SHARDS, FleetEngine, FleetReport
+from repro.fleet.engine import FleetEngine, FleetReport
 from repro.fleet.executors import FleetExecutor
 from repro.fleet.reducers import FleetTotals
 from repro.fleet.spec import COHORT_CHALLENGER, COHORT_CHAMPION, FleetSpec
@@ -183,7 +183,6 @@ def run_staged_rollout(
     executor: Optional[FleetExecutor] = None,
     telemetry: Optional[TelemetryBus] = None,
     checkpoint=None,
-    max_live_shards: int = DEFAULT_MAX_LIVE_SHARDS,
 ) -> RolloutResult:
     """Trial a challenger on a fleet fraction and act on the outcome.
 
@@ -234,7 +233,6 @@ def run_staged_rollout(
         checkpoint=checkpoint,
         package=champion_package,
         challenger=challenger_package,
-        max_live_shards=max_live_shards,
     )
     report = engine.run()
     decision = judge_cohorts(

@@ -51,11 +51,7 @@ from repro.core.config import SnipConfig
 from repro.core.package_cache import package_digest
 from repro.core.profiler import CloudProfiler, SnipPackage
 from repro.errors import ServiceError
-from repro.fleet.engine import (
-    DEFAULT_MAX_LIVE_SHARDS,
-    FleetEngine,
-    peak_rss_bytes,
-)
+from repro.fleet.engine import FleetEngine, peak_rss_bytes
 from repro.fleet.executors import FleetExecutor
 from repro.fleet.spec import FleetSpec
 from repro.fleet.telemetry import (
@@ -241,7 +237,6 @@ class SnipService:
         registry: Optional[PackageRegistry] = None,
         executor: Optional[FleetExecutor] = None,
         telemetry: Optional[TelemetryBus] = None,
-        max_live_shards: int = DEFAULT_MAX_LIVE_SHARDS,
         stage_hook: Optional[Callable[[int, str, str], None]] = None,
     ) -> None:
         """``stage_hook(cycle, stage, phase)`` fires around live stages.
@@ -257,7 +252,6 @@ class SnipService:
         self.policy = policy or PromotionPolicy()
         self.executor = executor
         self.telemetry = telemetry or TelemetryBus()
-        self.max_live_shards = max_live_shards
         self.stage_hook = stage_hook
         self.run_dir.mkdir(parents=True, exist_ok=True)
         self._init_manifest()
@@ -704,7 +698,6 @@ class SnipService:
             checkpoint=self._cycle_checkpoint_dir(index),
             package=champion_package,
             challenger=challenger_package,
-            max_live_shards=self.max_live_shards,
             shard_observer=observe,
         )
         report = engine.run()

@@ -195,9 +195,9 @@ def test_corrupt_evictions_survive_store_restarts(
 
 
 def test_manifestless_store_counts_evictions_in_memory_only(tmp_path):
-    # The engine's anonymous spill dirs have no manifest; eviction
+    # A store that was never initialised has no manifest; eviction
     # accounting must not invent one.
-    store = CheckpointStore(tmp_path / "spill")
+    store = CheckpointStore(tmp_path / "bare")
     store.shard_dir.mkdir(parents=True)
     store.shard_path(0).write_bytes(b"junk")
     assert store.load_resumable(0) is None

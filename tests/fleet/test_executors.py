@@ -46,6 +46,15 @@ def _flaky(payload):
     return value * value
 
 
+def _fail_once(payload):
+    """Raise the first time a marked payload is seen, succeed after."""
+    value, marker = payload
+    if marker is not None and not marker.exists():
+        marker.write_text("attempted")
+        raise RuntimeError(f"first attempt at {value}")
+    return value * value
+
+
 def _crash_once(payload):
     """Kill the worker outright the first time the marker is seen.
 
@@ -82,13 +91,7 @@ def test_stream_yields_indexed_results():
 
 
 def test_serial_returns_results_in_payload_order():
-    executor = SerialExecutor()
-    collected = []
-    results = executor.run(
-        _square, [3, 1, 2], on_result=lambda i, r: collected.append((i, r))
-    )
-    assert results == [9, 1, 4]
-    assert collected == [(0, 9), (1, 1), (2, 4)]
+    assert SerialExecutor().run(_square, [3, 1, 2]) == [9, 1, 4]
 
 
 def test_serial_retries_and_counts_failures(tmp_path):
@@ -138,6 +141,46 @@ def test_queue_executor_orders_results_despite_completion_order():
     payloads = [(4, 0.3), (3, 0.15), (2, 0.0)]
     results = executor.run(_slow_square, payloads)
     assert results == [16, 9, 4]
+
+
+def _stream_within_window(executor, fn, payloads, **kwargs):
+    """Consume ``executor.stream``, checking every yielded index is below
+    (the oldest index not yet yielded) + ``executor.window``."""
+    results, oldest = {}, 0
+    for index, result in executor.stream(fn, payloads, **kwargs):
+        assert index < oldest + executor.window, (index, oldest)
+        results[index] = result
+        while oldest in results:
+            oldest += 1
+    return results
+
+
+def test_queue_window_holds_behind_a_slow_head():
+    # The oldest payload sleeps while the rest return at once: the
+    # window must wait for it rather than run the backlog past it.
+    payloads = [(0, 1.0)] + [(value, 0.0) for value in range(1, 24)]
+    results = _stream_within_window(
+        QueueFleetExecutor(jobs=2), _slow_square, payloads
+    )
+    assert results == {value: value * value for value in range(24)}
+
+
+def test_queue_window_holds_behind_a_retried_head(tmp_path):
+    # A failed payload goes back to the head of the backlog, so the
+    # retry runs before any index past the window is submitted.
+    payloads = [(0, tmp_path / "failed")] + [
+        (value, None) for value in range(1, 24)
+    ]
+    telemetry = TelemetryBus()
+    results = _stream_within_window(
+        QueueFleetExecutor(jobs=2),
+        _fail_once,
+        payloads,
+        telemetry=telemetry,
+        retry_budget=1,
+    )
+    assert results == {value: value * value for value in range(24)}
+    assert telemetry.counters.retries == 1
 
 
 def test_queue_executor_emits_queue_depth_within_window():

@@ -1,4 +1,4 @@
-"""Accumulator contract: fold == batch, merge == fold, strict ordering.
+"""Accumulator contract: fold == batch, strict ordering.
 
 The streaming engine's byte-identity guarantee rests on these
 equivalences: accumulators, fed devices one at a time in canonical
@@ -21,7 +21,6 @@ from repro.core.config import SnipConfig
 from repro.errors import FleetError
 from repro.fleet.reducers import (
     CensusAccumulator,
-    CohortTotalsAccumulator,
     ContributionsAccumulator,
     EnergyAccumulator,
     FleetFold,
@@ -62,93 +61,8 @@ def test_totals_fold_matches_batch(devices):
     )
 
 
-def _assert_totals_close(merged, folded):
-    """Merged partials agree with a single fold: ints exactly, floats to
-    rounding (splitting changes the float summation tree — which is why
-    the engine folds with ``update`` only; see the reducers docstring).
-    """
-    for field in dataclasses.fields(type(folded)):
-        mine = getattr(merged, field.name)
-        theirs = getattr(folded, field.name)
-        if isinstance(theirs, float):
-            assert mine == pytest.approx(theirs), field.name
-        else:
-            assert mine == theirs, field.name
-
-
-def test_merge_of_split_halves_matches_single_fold(devices):
-    half = len(devices) // 2
-    whole, left, right = (
-        TotalsAccumulator(), TotalsAccumulator(), TotalsAccumulator()
-    )
-    for device in devices:
-        whole.update(device)
-    for device in devices[:half]:
-        left.update(device)
-    for device in devices[half:]:
-        right.update(device)
-    left.merge(right)
-    _assert_totals_close(left.finalize(), whole.finalize())
-
-
-def test_census_merge_matches_single_fold(devices):
-    half = len(devices) // 2
-    whole, left, right = (
-        CensusAccumulator(), CensusAccumulator(), CensusAccumulator()
-    )
-    for device in devices:
-        whole.update(device)
-    for device in devices[:half]:
-        left.update(device)
-    for device in devices[half:]:
-        right.update(device)
-    left.merge(right)
-    assert left.finalize() == whole.finalize()
-
-
-def test_cohort_merge_matches_single_fold(devices):
-    half = len(devices) // 2
-    whole, left, right = (
-        CohortTotalsAccumulator(),
-        CohortTotalsAccumulator(),
-        CohortTotalsAccumulator(),
-    )
-    for device in devices:
-        whole.update(device)
-    for device in devices[:half]:
-        left.update(device)
-    for device in devices[half:]:
-        right.update(device)
-    left.merge(right)
-    merged, folded = left.finalize(), whole.finalize()
-    assert merged.keys() == folded.keys()
-    for cohort in folded:
-        _assert_totals_close(merged[cohort], folded[cohort])
-
-
-def test_energy_merge_matches_single_fold(devices):
-    half = len(devices) // 2
-    whole, left, right = (
-        EnergyAccumulator(), EnergyAccumulator(), EnergyAccumulator()
-    )
-    for device in devices:
-        whole.update(device)
-    for device in devices[:half]:
-        left.update(device)
-    for device in devices[half:]:
-        right.update(device)
-    left.merge(right)
-    merged, folded = left.finalize(), whole.finalize()
-    assert merged is not None and folded is not None
-    assert merged.by_component.keys() == folded.by_component.keys()
-    assert merged.total_joules == pytest.approx(folded.total_joules)
-
-
 def test_empty_energy_accumulator_finalizes_to_none():
     assert EnergyAccumulator().finalize() is None
-    empty = EnergyAccumulator()
-    empty.merge(EnergyAccumulator())
-    assert empty.finalize() is None
 
 
 def test_contributions_fold_matches_batch(devices, small_package):
@@ -165,25 +79,6 @@ def test_contributions_fold_matches_batch(devices, small_package):
     batch_table, batch_uplink = batch
     assert streamed_uplink == batch_uplink
     assert pickle.dumps(streamed_table) == pickle.dumps(batch_table)
-
-
-def test_contributions_merge_matches_single_fold(devices, small_package):
-    config = SnipConfig()
-    half = len(devices) // 2
-    whole = ContributionsAccumulator(small_package.selection, config)
-    left = ContributionsAccumulator(small_package.selection, config)
-    right = ContributionsAccumulator(small_package.selection, config)
-    for device in devices:
-        whole.update(device)
-    for device in devices[:half]:
-        left.update(device)
-    for device in devices[half:]:
-        right.update(device)
-    left.merge(right)
-    merged, folded = left.finalize(), whole.finalize()
-    assert merged is not None and folded is not None
-    assert merged[1] == folded[1]
-    assert merged[0].entry_count == folded[0].entry_count
 
 
 def test_contributions_without_federation_finalize_to_none(
