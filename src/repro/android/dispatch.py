@@ -22,6 +22,28 @@ from repro.soc.soc import Soc, snapdragon_821
 if TYPE_CHECKING:  # pragma: no cover - layering: games sit above android
     from repro.games.base import Game, ProcessingTrace
 
+#: A handler's work as the ledger prices it: ``(big-core cycles,
+#: little-core cycles, DRAM bytes, IP invocations)``, with the named
+#: sub-functions' cycles folded into their cluster's total and each
+#: invocation reduced to ``(ip name, work units, bytes in, bytes out)``.
+Work = Tuple[int, int, int, Tuple[Tuple[str, float, int, int], ...]]
+
+
+def handler_work(trace: "ProcessingTrace") -> Work:
+    """The part of a trace :func:`charge_work` prices."""
+    big_cycles = trace.cpu_big_cycles
+    little_cycles = trace.cpu_little_cycles
+    for func_call in trace.cpu_funcs:
+        if func_call.big:
+            big_cycles += func_call.cycles
+        else:
+            little_cycles += func_call.cycles
+    invocations = tuple(
+        [(call.ip_name, call.work_units, call.bytes_in, call.bytes_out)
+         for call in trace.ip_calls]
+    )
+    return big_cycles, little_cycles, trace.memory_bytes, invocations
+
 
 def charge_trace(soc: Soc, trace: "ProcessingTrace", tag: str = "event") -> None:
     """Charge one handler trace's work to the SoC.
@@ -30,26 +52,21 @@ def charge_trace(soc: Soc, trace: "ProcessingTrace", tag: str = "event") -> None
     place that converts it into component energy, so CPU-only or IP-only
     schemes can instead charge just the slices they execute.
     """
-    big_cycles = trace.cpu_big_cycles
-    little_cycles = trace.cpu_little_cycles
-    for func_call in trace.cpu_funcs:
-        if func_call.big:
-            big_cycles += func_call.cycles
-        else:
-            little_cycles += func_call.cycles
+    charge_work(soc, handler_work(trace), tag)
+
+
+def charge_work(soc: Soc, work: Work, tag: str = "event") -> None:
+    """Charge a :func:`handler_work` record, as :func:`charge_trace` does."""
+    big_cycles, little_cycles, memory_bytes, invocations = work
     if big_cycles:
         soc.charge_cycles(big_cycles, big=True, tag=tag)
     if little_cycles:
         soc.charge_cycles(little_cycles, big=False, tag=tag)
-    if trace.memory_bytes:
-        soc.charge_transfer(trace.memory_bytes, tag=tag)
-    for call in trace.ip_calls:
+    if memory_bytes:
+        soc.charge_transfer(memory_bytes, tag=tag)
+    for ip_name, work_units, bytes_in, bytes_out in invocations:
         soc.charge_invocation(
-            call.ip_name,
-            call.work_units,
-            bytes_in=call.bytes_in,
-            bytes_out=call.bytes_out,
-            tag=tag,
+            ip_name, work_units, bytes_in=bytes_in, bytes_out=bytes_out, tag=tag
         )
 
 

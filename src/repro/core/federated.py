@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.android.emulator import Emulator
 from repro.android.events import Event, EventType
@@ -31,7 +31,8 @@ from repro.core.config import SnipConfig
 from repro.core.selection import SelectedInputs
 from repro.core.table import SnipTable, TableEntry
 from repro.errors import ProfilerError
-from repro.games.base import FieldWrite, InputCategory
+from repro.games.base import FieldWrite
+from repro.games.handler_memo import MemoEntry, handler_memo
 from repro.games.registry import GAME_CONTENT_SEED, create_game, fresh_game
 
 #: (event_type, key) — the federated aggregation unit.
@@ -55,34 +56,25 @@ FoldRecord = Tuple[Slot, Tuple, float, Tuple[FieldWrite, ...]]
 #: additions and dict insertion orders bit for bit.
 SessionFold = Tuple[int, Tuple, Tuple]
 
-#: Per-(selection, game) caches of session folds, keyed by the
-#: session's event-value stream. The fold replays every session on a
-#: fresh content-seed game, so its records are a pure function of
-#: ``(game_name, selection, [(event_type, values)...])`` — timestamps
-#: and sequence numbers never reach the statistics. Selections are
-#: identified by content fingerprint, so equal selections built by
-#: different shards share one cache.
-_FOLD_CACHES: Dict[Tuple[Tuple, str], Dict[Tuple, SessionFold]] = {}
+#: An event type's fold key recipe: the ``event:``/``hist:``/``extern:``
+#: kind and the name of each necessary input, resolved once per
+#: selection so the per-event key build does no string parsing.
+KeyPlans = Dict[EventType, Tuple[Tuple[str, str], ...]]
+
+#: Per-(selection, game) fold state: the selection's key plans and a
+#: cache of session folds keyed by the session's event-value stream.
+#: The fold replays every session on a fresh content-seed game, so its
+#: records are a pure function of ``(game_name, selection,
+#: [(event_type, values)...])`` — timestamps and sequence numbers never
+#: reach the statistics. Selections are identified by content
+#: fingerprint, so equal selections built by different shards share one
+#: entry, and their plans are one object: the handler memo's fold-record
+#: slot (:class:`~repro.games.handler_memo.MemoEntry`) is checked by
+#: identity against it.
+_FOLD_CACHES: Dict[Tuple[Tuple, str], Tuple[KeyPlans, Dict[Tuple, SessionFold]]] = {}
 #: Streams cached per (selection, game); sessions beyond the cap still
 #: fold correctly, they just stop populating the cache.
 _FOLD_CACHE_CAP = 4096
-
-#: Second cache level, underneath the session fold cache: per-event
-#: replay memos keyed by ``(event type, event values, state cells,
-#: screen contents)``. Handlers touch the world only through
-#: :class:`~repro.games.base.HandlerContext` (event fields, state
-#: reads, screen compares, seed-pure extern fetches), so that key
-#: captures every input the handler can observe — two replays with
-#: equal keys produce identical traces and identical mutations. A hit
-#: replays the recorded writes via ``Game.apply_outputs`` and reuses
-#: the ready-made fold record; only novel (state, event) pairs pay the
-#: handler. Unselected event types cache ``None`` records (they still
-#: mutate state). Unhashable state values fall back to a live replay.
-_EVENT_MEMOS: Dict[
-    Tuple[Tuple, str],
-    Dict[Tuple, Tuple[Optional[FoldRecord], Tuple[FieldWrite, ...]]],
-] = {}
-_EVENT_MEMO_CAP = 65_536
 
 
 def _selection_fingerprint(selection: SelectedInputs) -> Tuple:
@@ -144,25 +136,18 @@ class ContributionBuilder:
         self._selection = selection
         self._emulator = Emulator(verify=False)
         self._sessions = 0
-        #: Per-event-type key plans for the fused fold: the ``event:``/
-        #: ``hist:``/``extern:`` kind of each necessary input resolved
-        #: once, so the per-event key build does no string parsing.
-        self._plans: Dict[EventType, Tuple[Tuple[str, str], ...]] = {
-            event_type: tuple(
-                (info.name.partition(":")[0], info.name.partition(":")[2])
-                for info in selection.fields_for(event_type)
-            )
-            for event_type in selection.by_event_type
-        }
         cache_key = (_selection_fingerprint(selection), game_name)
-        cache = _FOLD_CACHES.get(cache_key)
-        if cache is None:
-            cache = _FOLD_CACHES[cache_key] = {}
-        self._fold_cache = cache
-        memo = _EVENT_MEMOS.get(cache_key)
-        if memo is None:
-            memo = _EVENT_MEMOS[cache_key] = {}
-        self._event_memo = memo
+        cached = _FOLD_CACHES.get(cache_key)
+        if cached is None:
+            plans: KeyPlans = {
+                event_type: tuple(
+                    (info.name.partition(":")[0], info.name.partition(":")[2])
+                    for info in selection.fields_for(event_type)
+                )
+                for event_type in selection.by_event_type
+            }
+            cached = _FOLD_CACHES[cache_key] = (plans, {})
+        self._plans, self._fold_cache = cached
 
     def add_session(self, trace: RecordedTrace, session: int) -> None:
         """Replay one session locally and fold its statistics."""
@@ -249,80 +234,48 @@ class ContributionBuilder:
         """Replay one session and extract its fold records.
 
         The ``advance_engine`` → history capture → ``process``
-        sequencing matches the emulator's snapshot timing exactly;
-        extern key values come from the processing trace's extern reads
-        (absent reads yield ``None``), mirroring ``record_inputs``.
+        sequencing matches the emulator's snapshot timing exactly.
 
-        Per-event memo: handlers observe nothing outside the event's
-        values, the state store, the screen, and seed-pure extern
-        fetches, so ``(type, values, state cells, screen)`` determines
-        both the trace and the mutations. Repeats — idle frame ticks
-        dominate real streams — replay the recorded writes and reuse
-        the cached fold record instead of running the handler.
+        Per-event memo: the game's process-wide handler memo
+        (:mod:`repro.games.handler_memo`) keys each event on ``(type,
+        values, state cells, screen)``, which determines both the trace
+        and the mutations. Repeats — idle frame ticks dominate real
+        streams, and the fleet's baseline pass has usually just walked
+        the same session — replay the recorded writes and reuse the
+        entry's fold record instead of running the handler.
         """
         plans = self._plans
-        memo = self._event_memo
         game = fresh_game(self.contribution.game_name, seed=GAME_CONTENT_SEED)
-        state = game.state
-        screen = game.screen
-        state_get = state.get
+        memo = handler_memo(game)
+        lookup = memo.lookup
+        apply_outputs = game.apply_outputs
+        state_get = game.state.get
         records: List[FoldRecord] = []
         for event in events:
             game.advance_engine(event)
-            event_type = event.event_type
-            try:
-                memo_key = (
-                    event_type.value,
-                    tuple(event.values.items()),
-                    tuple((cell.value, cell.nbytes) for cell in state),
-                    tuple(screen.items()),
-                )
-                hit = memo.get(memo_key)
-            except TypeError:
-                memo_key = hit = None
-            if hit is not None:
-                record, replay_writes = hit
-                if replay_writes:
-                    game.apply_outputs(replay_writes)
-                if record is not None:
-                    records.append(record)
-                continue
-            plan = plans.get(event_type)
-            if plan is None:
-                trace = game.process(event)
-                if memo_key is not None and len(memo) < _EVENT_MEMO_CAP:
-                    memo[memo_key] = (None, tuple(trace.writes))
-                continue
-            hist_values = {
-                name: state_get(name) for kind, name in plan if kind == "hist"
-            }
-            trace = game.process(event)
-            extern_values = None
-            key_parts = []
-            event_values = event.values
-            for kind, name in plan:
-                if kind == "event":
-                    key_parts.append(event_values.get(name))
-                elif kind == "hist":
-                    key_parts.append(hist_values[name])
+            key, entry = lookup(game, event)
+            if entry is not None:
+                if entry.fold_plans is plans:
+                    record = entry.fold_record
                 else:
-                    if extern_values is None:
-                        extern_values = {
-                            read.name.partition(":")[2]: read.value
-                            for read in trace.reads
-                            if read.category is InputCategory.EXTERN
-                        }
-                    key_parts.append(extern_values.get(name))
-            writes_tuple = tuple(trace.writes)
-            record: FoldRecord = (
-                (event_type, tuple(key_parts)),
-                trace.output_signature(),
-                trace.total_cycles,
-                writes_tuple,
-            )
-            records.append(record)
-            if memo_key is not None and len(memo) < _EVENT_MEMO_CAP:
-                memo[memo_key] = (record, writes_tuple)
+                    # Read before the writes land: equal keys mean the
+                    # state now is the state the handler ran on.
+                    record = _fold_record(
+                        event, plans.get(event.event_type), state_get, entry
+                    )
+                    entry.fold_plans, entry.fold_record = plans, record
+                if entry.writes:
+                    apply_outputs(entry.writes)
+            else:
+                plan = plans.get(event.event_type)
+                hist_values = {
+                    name: state_get(name) for kind, name in plan or () if kind == "hist"
+                }
+                entry = memo.record(key, game.process(event))
+                record = _fold_record(event, plan, hist_values.get, entry)
+                entry.fold_plans, entry.fold_record = plans, record
+            if record is not None:
+                records.append(record)
         return tuple(records), len(records)
 
     def finish(self) -> DeviceContribution:
@@ -332,6 +285,39 @@ class ContributionBuilder:
                 f"device {self.contribution.device_id}: no sessions to contribute"
             )
         return self.contribution
+
+
+def _fold_record(
+    event: Event,
+    plan: Optional[Tuple[Tuple[str, str], ...]],
+    hist: Callable[[str], Any],
+    entry: MemoEntry,
+) -> Optional[FoldRecord]:
+    """One event's fold record under its type's key plan.
+
+    ``None`` for a type outside the selection. ``hist`` reads a history
+    field as the handler saw it; extern key values come from the
+    handler's extern reads (absent reads yield ``None``), mirroring
+    ``record_inputs``.
+    """
+    if plan is None:
+        return None
+    event_values = event.values
+    extern_values = entry.extern_values or {}
+    key_parts = []
+    for kind, name in plan:
+        if kind == "event":
+            key_parts.append(event_values.get(name))
+        elif kind == "hist":
+            key_parts.append(hist(name))
+        else:
+            key_parts.append(extern_values.get(name))
+    return (
+        (event.event_type, tuple(key_parts)),
+        entry.signature,
+        entry.total_cycles,
+        entry.writes,
+    )
 
 
 def _compact_fold(fold: Tuple[Tuple[FoldRecord, ...], int]) -> SessionFold:

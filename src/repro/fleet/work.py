@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from repro.android.dispatch import BatchedEventLoop, EventLoop
+from repro.android.dispatch import EventLoop
 from repro.core.config import SnipConfig
 from repro.core.federated import ContributionBuilder, DeviceContribution
 from repro.core.runtime import SnipRuntime
@@ -22,6 +22,7 @@ from repro.core.selection import SelectedInputs
 from repro.core.table import SnipTable
 from repro.errors import FleetError
 from repro.fleet.spec import COHORT_CHALLENGER, COHORT_CHAMPION, FleetSpec
+from repro.games.handler_memo import MemoBaselineLoop
 from repro.games.registry import GAME_CONTENT_SEED, create_game, fresh_game
 from repro.soc.energy import ColumnarMeter, EnergyReport, merge_reports
 from repro.soc.soc import snapdragon_821
@@ -225,9 +226,11 @@ def run_device(
     form (each event materialised exactly once), games come from the
     template cache, energy lands in append-only :class:`ColumnarMeter`
     ledgers fed by static delivery/upkeep cost patterns, probe keys for
-    event-only selections are precomputed per session, and the
-    federated statistics fold runs fused over the already-materialised
-    events. Byte-identical to :func:`run_device_reference` — same
+    event-only selections are precomputed per session, the baseline
+    pass and the federated statistics fold share the game's handler
+    memo (the fold replays what the baseline pass just recorded), and
+    the fold runs fused over the already-materialised events.
+    Byte-identical to :func:`run_device_reference` — same
     ``DeviceResult`` pickles, same fleet reports — as asserted by the
     golden-equivalence suite.
 
@@ -280,7 +283,7 @@ def run_device(
             result.executed_cycles += runtime.stats.executed_cycles
             base_soc = snapdragon_821(meter=ColumnarMeter())
             base_game = fresh_game(spec.game_name, seed=GAME_CONTENT_SEED)
-            loop = BatchedEventLoop(base_soc, base_game)
+            loop = MemoBaselineLoop(base_soc, base_game)
             _replay_columnar(loop, events, None, effective_s, base_soc)
             result.baseline_joules += base_soc.meter.total_joules
         if builder is not None:

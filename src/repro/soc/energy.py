@@ -212,6 +212,7 @@ class ColumnarMeter(EnergyMeter):
         self._key_ids: List[int] = []
         self._values: List[float] = []
         self._fold_cache: Tuple[int, EnergyReport] = (-1, None)  # type: ignore[assignment]
+        self._total_cache: Tuple[int, float] = (-1, 0.0)
 
     def charge(
         self,
@@ -247,6 +248,15 @@ class ColumnarMeter(EnergyMeter):
         """
         self._key_ids.extend(key_ids)
         self._values.extend(values)
+
+    @property
+    def record_count(self) -> int:
+        """How many charges the columns hold."""
+        return len(self._values)
+
+    def records_since(self, start: int) -> Tuple[Tuple[int, ...], Tuple[float, ...]]:
+        """The charges appended after the first ``start``, ready for :meth:`extend`."""
+        return tuple(self._key_ids[start:]), tuple(self._values[start:])
 
     # -- folded views ---------------------------------------------------
 
@@ -291,7 +301,21 @@ class ColumnarMeter(EnergyMeter):
 
     @property
     def total_joules(self) -> float:
-        return self._folded().total_joules
+        """The grand total alone, without folding the four axes.
+
+        The same sequential ``np.add.accumulate`` over the records in
+        arrival order that :meth:`report` runs, so the same float.
+        """
+        count = len(self._values)
+        cached_count, total = self._total_cache
+        if cached_count != count:
+            total = (
+                float(np.add.accumulate(np.asarray(self._values, dtype=np.float64))[-1])
+                if count
+                else 0.0
+            )
+            self._total_cache = (count, total)
+        return total
 
     def component_joules(self, component: str) -> float:
         return self._folded().by_component.get(component, 0.0)
@@ -310,6 +334,7 @@ class ColumnarMeter(EnergyMeter):
         self._key_ids.clear()
         self._values.clear()
         self._fold_cache = (-1, None)  # type: ignore[assignment]
+        self._total_cache = (-1, 0.0)
 
 
 def merge_reports(reports: Iterable[EnergyReport]) -> EnergyReport:

@@ -107,6 +107,7 @@ class Soc:
             meter if isinstance(meter, ColumnarMeter) else None
         )
         self._components = tuple(self.all_components().values())
+        self._all_idle = (PowerState.IDLE,) * len(self._components)
         self._idle_patterns: Dict[Tuple[PowerState, ...], _IdlePattern] = {}
         #: Direct charges' key ids by ``(component, tag)``: interning
         #: through :func:`charge_key_id` hashes the group enum per call.
@@ -126,6 +127,15 @@ class Soc:
         ``charge_*`` methods write IDLE components' charges directly.
         """
         return self._ledger is not None
+
+    @property
+    def idle(self) -> bool:
+        """Whether every component is IDLE: none asleep, off or active.
+
+        Static charge patterns recorded on IDLE components replay
+        exactly only while this holds.
+        """
+        return tuple(map(_STATE_OF, self._components)) == self._all_idle
 
     def ip(self, name: str) -> IpBlock:
         """Look up an IP block by canonical name."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from repro.android.dispatch import BatchedEventLoop, EventLoop
+from repro.android.dispatch import BatchedEventLoop, EventLoop, handler_work
 from repro.android.events import Event, EventType
 from repro.games.base import Game, ProcessingTrace
 from repro.games.registry import GAME_CONTENT_SEED, create_game, fresh_game
@@ -32,20 +32,14 @@ def estimate_trace_energy(soc: Soc, trace: ProcessingTrace) -> float:
     invocations, and memory traffic — but not sensing/delivery, which
     happen before any short-circuit decision.
     """
+    big_cycles, little_cycles, memory_bytes, invocations = handler_work(trace)
     energy = 0.0
-    big_cycles = trace.cpu_big_cycles
-    little_cycles = trace.cpu_little_cycles
-    for func_call in trace.cpu_funcs:
-        if func_call.big:
-            big_cycles += func_call.cycles
-        else:
-            little_cycles += func_call.cycles
     energy += soc.cpu.energy_for(big_cycles, big=True)
     energy += soc.cpu.energy_for(little_cycles, big=False)
-    energy += soc.memory.energy_for(trace.memory_bytes)
-    for call in trace.ip_calls:
-        energy += soc.ip(call.ip_name).energy_for(
-            call.work_units, bytes_in=call.bytes_in, bytes_out=call.bytes_out
+    energy += soc.memory.energy_for(memory_bytes)
+    for ip_name, work_units, bytes_in, bytes_out in invocations:
+        energy += soc.ip(ip_name).energy_for(
+            work_units, bytes_in=bytes_in, bytes_out=bytes_out
         )
     return energy
 

@@ -1,0 +1,286 @@
+"""The process-wide handler memo and the memoised baseline loop.
+
+The memo replaces a handler run by the writes and work an earlier run
+with the same ``(type, values, state, screen)`` key recorded. These
+tests hold the memo to what ``BatchedEventLoop`` and an unmemoised fold
+produce, and to its three limits: unhashable keys, the cap, and the
+IDLE-components precondition of a cached charge pattern.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import pickle
+from collections import Counter
+
+import pytest
+
+from repro.android.dispatch import BatchedEventLoop, EventLoop
+from repro.core import federated
+from repro.core.config import SnipConfig
+from repro.core.federated import ContributionBuilder
+from repro.core.profiler import CloudProfiler
+from repro.core.selection import SelectedInputs
+from repro.errors import SimulationError
+from repro.fleet import FleetEngine, FleetSpec
+from repro.fleet.work import run_device
+from repro.games import handler_memo
+from repro.games.base import Game
+from repro.games.handler_memo import MemoBaselineLoop
+from repro.games.registry import GAME_CONTENT_SEED, GAME_NAMES, create_game, fresh_game
+from repro.soc.component import PowerState
+from repro.soc.energy import ColumnarMeter
+from repro.soc.power_profiles import pixel_xl_profiles
+from repro.soc.soc import snapdragon_821
+from repro.users.tracegen import columnar_session
+
+DURATION_S = 2.0
+
+
+@pytest.fixture()
+def cold_memos(monkeypatch):
+    """Empty handler memos and session-fold caches for one test."""
+    monkeypatch.setattr(handler_memo, "_MEMOS", {})
+    monkeypatch.setattr(federated, "_FOLD_CACHES", {})
+
+
+@pytest.fixture()
+def handler_calls(monkeypatch):
+    """Counts ``Game.process`` calls: ``"fold"`` inside the fold's replay."""
+    counts: Counter = Counter()
+    phase = ["outside"]
+    process, fold_events = Game.process, ContributionBuilder._fold_events
+
+    def counting_process(self, event):
+        counts[phase[0]] += 1
+        return process(self, event)
+
+    def marked_fold(self, events):
+        counts["folds"] += 1
+        phase[0] = "fold"
+        try:
+            return fold_events(self, events)
+        finally:
+            phase[0] = "outside"
+
+    monkeypatch.setattr(Game, "process", counting_process)
+    monkeypatch.setattr(ContributionBuilder, "_fold_events", marked_fold)
+    return counts
+
+
+def _play(loop, events, duration_s=DURATION_S):
+    """Deliver a session through ``loop`` on its SoC's clock; the report."""
+    soc = loop.soc
+    clock = 0.0
+    for event in events:
+        if event.timestamp > clock:
+            soc.advance_time(event.timestamp - clock)
+            clock = event.timestamp
+        loop.deliver(event)
+    soc.advance_time(duration_s - clock)
+    return soc.report()
+
+
+def _columnar_soc(**kwargs):
+    return snapdragon_821(meter=ColumnarMeter(), **kwargs)
+
+
+def _memo_loop(game_name, game=None, **soc_kwargs):
+    game = game or fresh_game(game_name, seed=GAME_CONTENT_SEED)
+    return MemoBaselineLoop(_columnar_soc(**soc_kwargs), game)
+
+
+def _batched_report(game_name, events, game=None):
+    game = game or fresh_game(game_name, seed=GAME_CONTENT_SEED)
+    return _play(BatchedEventLoop(_columnar_soc(), game), events)
+
+
+def _fleet_spec(**overrides) -> FleetSpec:
+    settings = dict(
+        game_name="candy_crush",
+        devices=4,
+        sessions_per_device=1,
+        duration_s=DURATION_S,
+        seed=23,
+        shard_size=2,
+        profile_seeds=(1,),
+        profile_duration_s=2.0,
+        measure_energy=True,
+        federate=True,
+    )
+    settings.update(overrides)
+    return FleetSpec(**settings)
+
+
+class TestMemoBaselineLoop:
+    @pytest.mark.parametrize("game_name", GAME_NAMES)
+    def test_cold_and_warm_memo_charge_what_the_batched_loop_charges(
+        self, cold_memos, handler_calls, game_name
+    ):
+        events = columnar_session(game_name, 3, DURATION_S).events
+        expected = pickle.dumps(_batched_report(game_name, events))
+        handler_calls.clear()
+        cold = _play(_memo_loop(game_name), events)
+        runs = handler_calls["outside"]
+        warm = _play(_memo_loop(game_name), events)
+        assert pickle.dumps(cold) == expected
+        assert pickle.dumps(warm) == expected
+        # The warm pass found every event the cold pass recorded.
+        assert 0 < runs <= len(events)
+        assert handler_calls["outside"] == runs
+
+    def test_patterns_follow_the_socs_power_profiles(self, cold_memos):
+        defaults = pixel_xl_profiles()
+        custom = dataclasses.replace(
+            defaults,
+            cpu=dataclasses.replace(
+                defaults.cpu, big_energy_per_cycle=2 * defaults.cpu.big_energy_per_cycle
+            ),
+        )
+        events = columnar_session("candy_crush", 1, DURATION_S).events
+        # Default-profile patterns first: an entry whose pattern slot
+        # ignored the profiles would pour the default phone's prices.
+        _play(_memo_loop("candy_crush"), events)
+        memoised = _play(_memo_loop("candy_crush", profiles=custom), events)
+        scalar = _play(
+            EventLoop(
+                snapdragon_821(profiles=custom),
+                create_game("candy_crush", seed=GAME_CONTENT_SEED),
+            ),
+            events,
+        )
+        assert pickle.dumps(memoised) == pickle.dumps(scalar)
+
+    def test_unhashable_state_runs_the_handler_and_records_nothing(
+        self, cold_memos, handler_calls
+    ):
+        events = columnar_session("candy_crush", 1, DURATION_S).events
+
+        def game_with_a_list():
+            game = fresh_game("candy_crush", seed=GAME_CONTENT_SEED)
+            game.state.declare("scratch", [0], 8)
+            return game
+
+        expected = _batched_report("candy_crush", events, game_with_a_list())
+        handler_calls.clear()
+        loop = _memo_loop("candy_crush", game_with_a_list())
+        report = _play(loop, events)
+        assert handler_calls["outside"] == len(events)
+        assert len(handler_memo.handler_memo(loop.game)._entries) == 0
+        assert pickle.dumps(report) == pickle.dumps(expected)
+
+    def test_the_cap_holds(self, cold_memos, monkeypatch):
+        monkeypatch.setattr(handler_memo, "MEMO_CAP", 5)
+        events = columnar_session("candy_crush", 1, DURATION_S).events
+        expected = pickle.dumps(_batched_report("candy_crush", events))
+        for _ in range(2):
+            loop = _memo_loop("candy_crush")
+            assert pickle.dumps(_play(loop, events)) == expected
+        assert len(handler_memo.handler_memo(loop.game)._entries) == 5
+
+    def test_needs_a_columnar_soc(self):
+        with pytest.raises(SimulationError):
+            MemoBaselineLoop(snapdragon_821(), fresh_game("colorphun"))
+
+    @pytest.mark.parametrize(
+        "component, state",
+        [
+            ("cpu", PowerState.SLEEP),
+            ("gpu", PowerState.SLEEP),
+            ("display", PowerState.OFF),
+            ("touch", PowerState.SLEEP),
+        ],
+    )
+    def test_a_pattern_is_never_poured_into_a_soc_with_a_component_not_idle(
+        self, cold_memos, component, state
+    ):
+        events = columnar_session("candy_crush", 1, DURATION_S).events
+        _play(_memo_loop("candy_crush"), events)  # every entry has a pattern
+        loop = _memo_loop("candy_crush")
+        soc = loop.soc
+        loop.deliver(events[0])
+        soc.all_components()[component].transition(state)
+        records = soc.meter.record_count
+        with pytest.raises(SimulationError):
+            loop.deliver(events[1])
+        assert soc.meter.record_count == records
+        soc.all_components()[component].transition(PowerState.IDLE)
+        loop.deliver(events[1])
+        assert soc.meter.record_count > records
+
+
+class TestSharedWithTheFold:
+    def test_the_fold_runs_no_handler_after_the_baseline_pass(
+        self, cold_memos, handler_calls
+    ):
+        spec = _fleet_spec(devices=2)
+        package = CloudProfiler(SnipConfig(), cache=None).build_package_from_sessions(
+            spec.game_name, seeds=list(spec.profile_seeds), duration_s=spec.profile_duration_s
+        )
+        handler_calls.clear()
+        for device in range(spec.devices):
+            run_device(device, spec, package.selection, package.table, SnipConfig())
+        assert handler_calls["folds"] == spec.devices
+        assert handler_calls["outside"] > 0
+        assert handler_calls["fold"] == 0
+
+    def test_the_fold_replays_what_the_baseline_pass_recorded(self, cold_memos):
+        """Entries the baseline pass recorded fold like the fold's own."""
+        spec = _fleet_spec(devices=2, measure_energy=False)
+        package = CloudProfiler(SnipConfig(), cache=None).build_package_from_sessions(
+            spec.game_name, seeds=list(spec.profile_seeds), duration_s=spec.profile_duration_s
+        )
+        events = columnar_session(spec.game_name, 4, DURATION_S).events
+
+        def contribution():
+            builder = ContributionBuilder(0, spec.game_name, package.selection)
+            builder.add_session_events(events, 0)
+            return pickle.dumps(builder.finish())
+
+        own = contribution()
+        handler_memo._MEMOS.clear()
+        federated._FOLD_CACHES.clear()
+        _play(_memo_loop(spec.game_name), events)
+        assert contribution() == own
+
+    def test_each_selection_folds_its_own_records(self, cold_memos):
+        package = CloudProfiler(SnipConfig(), cache=None).build_package_from_sessions(
+            "candy_crush", seeds=[1], duration_s=2.0
+        )
+        narrower = SelectedInputs(
+            by_event_type={
+                event_type: fields[:-1] or fields
+                for event_type, fields in package.selection.by_event_type.items()
+            }
+        )
+        assert narrower.by_event_type != package.selection.by_event_type
+        events = columnar_session("candy_crush", 4, DURATION_S).events
+
+        def contribution(selection):
+            builder = ContributionBuilder(0, "candy_crush", selection)
+            builder.add_session_events(events, 0)
+            return pickle.dumps(builder.finish())
+
+        own = contribution(narrower)
+        handler_memo._MEMOS.clear()
+        federated._FOLD_CACHES.clear()
+        contribution(package.selection)  # entries now hold its records
+        assert contribution(narrower) == own
+
+    def test_energy_fleet_after_a_fold_only_fleet_matches_a_cold_memo(
+        self, cold_memos, monkeypatch
+    ):
+        FleetEngine(_fleet_spec(measure_energy=False), cache=None).run()
+        entries = [
+            entry
+            for memo in handler_memo._MEMOS.values()
+            for entry in memo._entries.values()
+        ]
+        assert entries and all(entry.pattern is None for entry in entries)
+        warm = FleetEngine(_fleet_spec(), cache=None).run().to_json()
+        # The energy fleet's baseline pass priced the fold's entries.
+        assert all(entry.pattern is not None for entry in entries)
+        monkeypatch.setattr(handler_memo, "_MEMOS", {})
+        monkeypatch.setattr(federated, "_FOLD_CACHES", {})
+        cold = FleetEngine(_fleet_spec(), cache=None).run().to_json()
+        assert warm == cold

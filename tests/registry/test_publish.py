@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.config import SnipConfig
 from repro.core.package_cache import package_digest
 from repro.core.serialization import table_to_dict
 from repro.errors import SchemeError

@@ -261,7 +261,9 @@ class TestColumnarMatchesScalar:
     @given(sequence=st.lists(steps, min_size=1, max_size=60))
     # Each non-IDLE target the direct paths must hand to the component.
     @example([("sleep", "gpu"), ("trace", _trace(ip_calls=[IpCall("gpu", 2.0, 64, 64)]))])
-    @example([("off", "dsp"), ("advance", 0.5), ("trace", _trace(ip_calls=[IpCall("dsp", 1.0, 0, 8)]))])
+    @example([
+        ("off", "dsp"), ("advance", 0.5), ("trace", _trace(ip_calls=[IpCall("dsp", 1.0, 0, 8)]))
+    ])
     @example([("sleep", "cpu"), ("probe", EventType.TOUCH), ("advance", 0.25)])
     @example([("sleep", "cpu"), ("trace", _trace(cpu_little_cycles=1000))])
     @example([("sleep", "dram"), ("advance", 1.0), ("trace", _trace(memory_bytes=4096))])
@@ -276,7 +278,13 @@ class TestColumnarMatchesScalar:
             assert outcomes[0] is outcomes[1], step
             if _negative(step):
                 assert outcomes[0] is not None, step
-        assert pickle.dumps(columnar.report()) == pickle.dumps(scalar.report())
+        # The total alone, read before the report folds every axis and
+        # after, is the report's float bit for bit.
+        total_before = columnar.meter.total_joules
+        report = columnar.report()
+        assert total_before.hex() == report.total_joules.hex()
+        assert columnar.meter.total_joules.hex() == report.total_joules.hex()
+        assert pickle.dumps(report) == pickle.dumps(scalar.report())
         assert columnar.elapsed_seconds == scalar.elapsed_seconds
         assert [c.state for c in columnar.all_components().values()] == [
             c.state for c in scalar.all_components().values()
