@@ -70,7 +70,7 @@ def run_fig4(
             game_name=result.game_name,
             useless_fraction=result.useless_user_fraction,
             wasted_energy_fraction=result.wasted_energy_fraction,
-            user_events=len(result.user_traces()),
+            user_events=result.user_events,
         )
         for result in results
     ]

@@ -232,25 +232,3 @@ class DeliveryPatterns:
             )
         self._soc.meter.extend(*pattern)
 
-
-class BatchedEventLoop(EventLoop):
-    """Baseline loop that pours static cost patterns into the meter.
-
-    Byte-identical to :class:`EventLoop` (asserted by the equivalence
-    suite) but skips the sensor/hub/manager object machinery per event:
-    delivery and upkeep charges arrive as one precomputed pattern via
-    :class:`DeliveryPatterns`. Requires a columnar SoC.
-    """
-
-    def __init__(self, soc: Soc, game: "Game", tracer: Optional[EventTracer] = None) -> None:
-        super().__init__(soc, game, tracer)
-        self._patterns = DeliveryPatterns(soc, game)
-
-    def deliver(self, event: Event) -> "ProcessingTrace":
-        if self.tracer is not None:
-            self.tracer.record(event)
-        self._patterns.charge(event)
-        trace = self.game.process(event)
-        charge_trace(self.soc, trace)
-        self._events_delivered += 1
-        return trace

@@ -297,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     registry.add_argument(
         "--min-energy-saved", type=float, default=0.0,
-        help="promotion floor: energy saved vs Max-CPU",
+        help="promotion floor: energy saved vs the unoptimised baseline",
     )
     registry.add_argument(
         "--max-table-bytes", type=int, default=0,
@@ -361,7 +361,7 @@ def _cmd_session(args, out) -> int:
                                   duration_s=args.duration)
     report = result.report
     print(f"game:            {args.game}", file=out)
-    print(f"events:          {len(result.events)}", file=out)
+    print(f"events:          {result.event_count}", file=out)
     print(f"energy:          {report.total_joules:.1f} J "
           f"({result.average_watts:.2f} W)", file=out)
     print(f"battery life:    {result.battery_hours:.1f} h", file=out)

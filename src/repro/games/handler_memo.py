@@ -8,10 +8,10 @@ therefore captures every input a handler can observe: two runs with
 equal keys produce identical traces and identical mutations — the same
 property SNIP exploits on the device (paper Sec. III).
 
-Every pass that plays a content-seed game through a session without
-keeping its traces looks each event up here right after the engine
-tick: the fleet's baseline pass and the registry's eval baseline
-(:class:`MemoBaselineLoop`), and the federated fold
+Two kinds of pass look each event up here right after the engine tick:
+the baseline sessions (:class:`MemoBaselineLoop`: the fleet's baseline
+pass, and :func:`~repro.users.sessions.run_baseline_session` behind
+Figs. 2-4 and the registry's eval baseline), and the federated fold
 (:meth:`~repro.core.federated.ContributionBuilder.add_session_events`).
 A hit replays the recorded writes with :meth:`Game.apply_outputs`
 instead of running the handler; only novel (state, event) pairs pay
@@ -127,13 +127,13 @@ def handler_memo(game: Game) -> HandlerMemo:
 class MemoBaselineLoop:
     """The baseline event loop, minus the handlers the memo has run.
 
-    Charges what :class:`~repro.android.dispatch.BatchedEventLoop`
-    charges — the static delivery + upkeep pattern, then the handler's
+    Charges what :class:`~repro.android.dispatch.EventLoop` charges —
+    delivery and upkeep (as one static pattern), then the handler's
     work — but on a memo hit it applies the recorded writes and pours
     the entry's charge pattern into the meter instead of running the
-    handler and pricing its trace. It keeps no traces, so it serves the
-    callers that read only the ledger; ``run_baseline_session`` and the
-    figures keep one trace per event and stay on ``BatchedEventLoop``.
+    handler and pricing its trace. :meth:`deliver` returns the entry it
+    applied, which holds everything the figures read of an event: its
+    writes (Fig. 4's useless test) and its work (the handler energy).
 
     A pattern is the work priced on IDLE components (the direct
     ``Soc.charge_*`` path), so it replays exactly only on a columnar SoC
@@ -153,8 +153,11 @@ class MemoBaselineLoop:
         self._memo = handler_memo(game)
         self._profiles = self._memo.canonical(soc.profiles)
 
-    def deliver(self, event: Event) -> None:
-        """Run one event end to end, charging every stage to the SoC."""
+    def deliver(self, event: Event) -> MemoEntry:
+        """Run one event end to end, charging every stage to the SoC.
+
+        Returns the entry whose writes and work the event applied.
+        """
         soc = self.soc
         if not soc.idle:
             raise SimulationError(
@@ -176,3 +179,4 @@ class MemoBaselineLoop:
             charge_work(soc, entry.work)
             entry.pattern_profiles = self._profiles
             entry.pattern = meter.records_since(start)
+        return entry

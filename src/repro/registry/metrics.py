@@ -3,10 +3,10 @@
 :func:`measure_package` evaluates a package on a *held-out* session
 (one the profiler never saw): table hit rate and selection accuracy
 come from a faithful replay against ground truth, and energy saved is
-one SNIP-runtime session against the Max-CPU baseline on fresh SoCs —
-the same comparison the paper's Fig. 11 makes. Everything is seeded,
-so the recorded metrics are a pure function of ``(package, config,
-eval_seed, eval_duration_s)``.
+one SNIP-runtime session against the unoptimised baseline on fresh
+SoCs — the same comparison the paper's Fig. 11 makes. Everything is
+seeded, so the recorded metrics are a pure function of ``(package,
+config, eval_seed, eval_duration_s)``.
 """
 
 from __future__ import annotations
@@ -16,12 +16,12 @@ from typing import Optional
 from repro.core.config import SnipConfig
 from repro.core.learning import evaluate_table
 from repro.core.runtime import SnipRuntime
-from repro.games.handler_memo import MemoBaselineLoop
-from repro.games.registry import GAME_CONTENT_SEED, create_game, fresh_game
+from repro.games.registry import GAME_CONTENT_SEED, create_game
 from repro.registry.records import PackageMetrics
 from repro.soc.energy import ColumnarMeter
 from repro.soc.soc import snapdragon_821
-from repro.users.tracegen import columnar_session, generate_trace
+from repro.users.sessions import run_baseline_session
+from repro.users.tracegen import generate_trace
 
 #: Held-out session defaults, disjoint from every profile seed the
 #: drivers use (they profile on small positive seeds like 1..3).
@@ -36,44 +36,34 @@ def selected_field_count(selection) -> int:
     )
 
 
-def _play(deliver, soc, events, duration_s: float) -> float:
-    """Deliver a session's events on the session clock; the SoC's joules."""
-    clock = 0.0
-    for event in events:
-        if event.timestamp > clock:
-            soc.advance_time(event.timestamp - clock)
-            clock = event.timestamp
-        deliver(event)
-    if duration_s > clock:
-        soc.advance_time(duration_s - clock)
-    return soc.meter.total_joules
-
-
 def measure_energy_saved(
     package, config: SnipConfig, eval_seed: int, eval_duration_s: float
 ) -> float:
-    """Fractional energy saved vs the Max-CPU baseline on one session.
+    """Fractional energy saved vs the unoptimised baseline on one session.
 
-    Both sessions charge columnar ledgers, as the fleet's do; the result
-    is the same float a plain :class:`~repro.soc.energy.EnergyMeter`
-    gives. The baseline reads only its ledger total, so it plays the
-    events ``run_baseline_session`` would through the handler memo
-    instead of keeping a trace per event.
+    The SNIP session charges a columnar ledger, as the fleet's does, and
+    the baseline is :func:`~repro.users.sessions.run_baseline_session`;
+    the result is the same float plain
+    :class:`~repro.soc.energy.EnergyMeter` SoCs give.
     """
     soc = snapdragon_821(meter=ColumnarMeter())
     game = create_game(package.game_name, seed=GAME_CONTENT_SEED)
     runtime = SnipRuntime(soc, game, package.table.clone(), config)
-    trace = generate_trace(package.game_name, eval_seed, eval_duration_s)
-    snip_joules = _play(
-        runtime.deliver, soc, (recorded.to_event() for recorded in trace), eval_duration_s
-    )
-    base_soc = snapdragon_821(meter=ColumnarMeter())
-    loop = MemoBaselineLoop(base_soc, fresh_game(package.game_name, seed=GAME_CONTENT_SEED))
-    events = columnar_session(package.game_name, eval_seed, eval_duration_s).events
-    baseline_joules = _play(loop.deliver, base_soc, events, eval_duration_s)
+    clock = 0.0
+    for recorded in generate_trace(package.game_name, eval_seed, eval_duration_s):
+        event = recorded.to_event()
+        if event.timestamp > clock:
+            soc.advance_time(event.timestamp - clock)
+            clock = event.timestamp
+        runtime.deliver(event)
+    if eval_duration_s > clock:
+        soc.advance_time(eval_duration_s - clock)
+    baseline_joules = run_baseline_session(
+        package.game_name, seed=eval_seed, duration_s=eval_duration_s
+    ).report.total_joules
     if baseline_joules <= 0:
         return 0.0
-    return 1.0 - snip_joules / baseline_joules
+    return 1.0 - soc.meter.total_joules / baseline_joules
 
 
 def measure_package(

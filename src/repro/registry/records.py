@@ -2,12 +2,12 @@
 
 The registry's whole value is its *ledger*: for every candidate package
 it remembers the gated metrics (table hit rate, selection accuracy,
-selected-field count, table size, energy saved vs the Max-CPU baseline)
-and the promotion decision that was taken on them. Every record here
-round-trips through plain JSON with sorted keys and no wall-clock
-fields, so a registry state file is a pure function of the publish and
-promotion history — byte-identical across ``--jobs`` settings and
-re-runs, matching the fleet determinism contract.
+selected-field count, table size, energy saved vs the unoptimised
+baseline) and the promotion decision that was taken on them. Every
+record here round-trips through plain JSON with sorted keys and no
+wall-clock fields, so a registry state file is a pure function of the
+publish and promotion history — byte-identical across ``--jobs``
+settings and re-runs, matching the fleet determinism contract.
 """
 
 from __future__ import annotations

@@ -6,8 +6,7 @@ import pickle
 import pytest
 
 from repro.android.dispatch import (
-    BatchedEventLoop,
-    EventLoop,
+    DeliveryPatterns,
     charge_delivery,
     charge_trace,
     charge_upkeep,
@@ -98,20 +97,7 @@ class TestChargeTraceFidelity:
         assert charged == pytest.approx(predicted, rel=1e-9)
 
 
-def _play(loop, events, duration_s):
-    """Deliver a session through ``loop``, advancing its SoC's clock."""
-    soc = loop.soc
-    clock = 0.0
-    for event in events:
-        if event.timestamp > clock:
-            soc.advance_time(event.timestamp - clock)
-            clock = event.timestamp
-        loop.deliver(event)
-    soc.advance_time(duration_s - clock)
-    return soc.report()
-
-
-class TestBatchedLoopProfiles:
+class TestDeliveryPatternProfiles:
     def test_patterns_follow_the_socs_power_profiles(self):
         """Static delivery/upkeep patterns are priced with the SoC's own
         profiles, not the default phone's."""
@@ -123,27 +109,21 @@ class TestBatchedLoopProfiles:
             ),
         )
         events = columnar_session("candy_crush", 1, 2.0).events
-        # A default-profile session first, so a pattern cache keyed
+
+        def poured(profiles):
+            soc = snapdragon_821(profiles=profiles, meter=ColumnarMeter())
+            patterns = DeliveryPatterns(soc, fresh_game("candy_crush", seed=GAME_CONTENT_SEED))
+            for event in events:
+                patterns.charge(event)
+            return soc.report()
+
+        # Default-profile patterns first, so a pattern cache keyed
         # without the profiles would already hold the wrong prices.
-        _play(
-            BatchedEventLoop(
-                snapdragon_821(meter=ColumnarMeter()),
-                fresh_game("candy_crush", seed=GAME_CONTENT_SEED),
-            ),
-            events, 2.0,
-        )
-        batched = _play(
-            BatchedEventLoop(
-                snapdragon_821(profiles=custom, meter=ColumnarMeter()),
-                fresh_game("candy_crush", seed=GAME_CONTENT_SEED),
-            ),
-            events, 2.0,
-        )
-        scalar = _play(
-            EventLoop(
-                snapdragon_821(profiles=custom),
-                create_game("candy_crush", seed=GAME_CONTENT_SEED),
-            ),
-            events, 2.0,
-        )
-        assert pickle.dumps(batched) == pickle.dumps(scalar)
+        poured(defaults)
+        soc = snapdragon_821(profiles=custom)
+        hub, manager, binder = SensorHub(soc), SensorManager(soc), Binder(soc)
+        game = create_game("candy_crush", seed=GAME_CONTENT_SEED)
+        for event in events:
+            charge_delivery(soc, hub, manager, binder, event)
+            charge_upkeep(soc, game, event)
+        assert pickle.dumps(poured(custom)) == pickle.dumps(soc.report())

@@ -80,8 +80,3 @@ def colorphun_session():
     """One baseline Colorphun session."""
     return run_baseline_session("colorphun", seed=1, duration_s=FIXTURE_DURATION_S)
 
-
-@pytest.fixture(scope="session")
-def ab_session():
-    """One baseline AB Evolution session."""
-    return run_baseline_session("ab_evolution", seed=1, duration_s=FIXTURE_DURATION_S)

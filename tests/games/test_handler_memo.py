@@ -2,7 +2,7 @@
 
 The memo replaces a handler run by the writes and work an earlier run
 with the same ``(type, values, state, screen)`` key recorded. These
-tests hold the memo to what ``BatchedEventLoop`` and an unmemoised fold
+tests hold the memo to what ``EventLoop`` and an unmemoised fold
 produce, and to its three limits: unhashable keys, the cap, and the
 IDLE-components precondition of a cached charge pattern.
 """
@@ -15,7 +15,7 @@ from collections import Counter
 
 import pytest
 
-from repro.android.dispatch import BatchedEventLoop, EventLoop
+from repro.android.dispatch import EventLoop
 from repro.core import federated
 from repro.core.config import SnipConfig
 from repro.core.federated import ContributionBuilder
@@ -90,9 +90,10 @@ def _memo_loop(game_name, game=None, **soc_kwargs):
     return MemoBaselineLoop(_columnar_soc(**soc_kwargs), game)
 
 
-def _batched_report(game_name, events, game=None):
+def _event_loop_report(game_name, events, game=None):
+    """The report of every handler run through :class:`EventLoop`."""
     game = game or fresh_game(game_name, seed=GAME_CONTENT_SEED)
-    return _play(BatchedEventLoop(_columnar_soc(), game), events)
+    return _play(EventLoop(_columnar_soc(), game), events)
 
 
 def _fleet_spec(**overrides) -> FleetSpec:
@@ -114,11 +115,11 @@ def _fleet_spec(**overrides) -> FleetSpec:
 
 class TestMemoBaselineLoop:
     @pytest.mark.parametrize("game_name", GAME_NAMES)
-    def test_cold_and_warm_memo_charge_what_the_batched_loop_charges(
+    def test_cold_and_warm_memo_charge_what_the_event_loop_charges(
         self, cold_memos, handler_calls, game_name
     ):
         events = columnar_session(game_name, 3, DURATION_S).events
-        expected = pickle.dumps(_batched_report(game_name, events))
+        expected = pickle.dumps(_event_loop_report(game_name, events))
         handler_calls.clear()
         cold = _play(_memo_loop(game_name), events)
         runs = handler_calls["outside"]
@@ -161,7 +162,7 @@ class TestMemoBaselineLoop:
             game.state.declare("scratch", [0], 8)
             return game
 
-        expected = _batched_report("candy_crush", events, game_with_a_list())
+        expected = _event_loop_report("candy_crush", events, game_with_a_list())
         handler_calls.clear()
         loop = _memo_loop("candy_crush", game_with_a_list())
         report = _play(loop, events)
@@ -172,7 +173,7 @@ class TestMemoBaselineLoop:
     def test_the_cap_holds(self, cold_memos, monkeypatch):
         monkeypatch.setattr(handler_memo, "MEMO_CAP", 5)
         events = columnar_session("candy_crush", 1, DURATION_S).events
-        expected = pickle.dumps(_batched_report("candy_crush", events))
+        expected = pickle.dumps(_event_loop_report("candy_crush", events))
         for _ in range(2):
             loop = _memo_loop("candy_crush")
             assert pickle.dumps(_play(loop, events)) == expected

@@ -16,6 +16,11 @@ from repro import (
 )
 from repro.android.emulator import Emulator
 from repro.android.events import EventType
+from repro.games import handler_memo
+from repro.games.handler_memo import MemoBaselineLoop
+from repro.games.registry import fresh_game
+from repro.soc.energy import ColumnarMeter
+from repro.users.tracegen import columnar_session
 
 
 class TestPublicApi:
@@ -33,7 +38,7 @@ class TestEveryGameEndToEnd:
     def test_baseline_session_runs(self, game_name):
         result = run_baseline_session(game_name, seed=3, duration_s=10.0)
         assert result.report.total_joules > 0
-        assert len(result.traces) > 100
+        assert result.event_count > 100
 
     @pytest.mark.parametrize("game_name", GAME_NAMES)
     def test_replay_is_deterministic(self, game_name):
@@ -79,15 +84,23 @@ class TestSessionDeterminism:
             second.report.total_joules, rel=1e-12
         )
 
-    def test_device_and_emulator_agree(self):
-        """The cloud replay sees exactly the outputs the device saw."""
+    def test_device_and_emulator_agree(self, monkeypatch):
+        """The cloud replay sees exactly the outputs the device saw, from
+        handlers the device ran (cold memo) and from replayed entries
+        (warm memo)."""
         trace = generate_trace("candy_crush", seed=4, duration_s=10.0)
-        device = run_baseline_session("candy_crush", seed=4, duration_s=10.0)
         game = create_game("candy_crush", seed=GAME_CONTENT_SEED)
         records = Emulator(verify=False).replay(game, trace)
-        assert len(records) == len(device.traces)
-        for device_trace, record in zip(device.traces, records):
-            assert device_trace.output_signature() == record.trace.output_signature()
+        expected = [record.trace.output_signature() for record in records]
+        events = columnar_session("candy_crush", 4, 10.0).events
+        monkeypatch.setattr(handler_memo, "_MEMOS", {})
+        for memo_state in ("cold", "warm"):
+            loop = MemoBaselineLoop(
+                snapdragon_821(meter=ColumnarMeter()),
+                fresh_game("candy_crush", seed=GAME_CONTENT_SEED),
+            )
+            device = [loop.deliver(event).signature for event in events]
+            assert device == expected, memo_state
 
 
 class TestCrossGameShape:

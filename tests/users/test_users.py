@@ -2,10 +2,12 @@
 
 import pytest
 
+from repro.android.dispatch import EventLoop
 from repro.android.events import EventType
 from repro.errors import UnknownGameError
-from repro.games.registry import GAME_NAMES
+from repro.games.registry import GAME_CONTENT_SEED, GAME_NAMES, create_game
 from repro.rng import ReproRng
+from repro.soc.soc import snapdragon_821
 from repro.users.behavior import behavior_for
 from repro.users.sessions import estimate_trace_energy, run_baseline_session
 from repro.users.tracegen import TICK_HZ, generate_events, generate_trace
@@ -90,7 +92,7 @@ class TestSessions:
     def test_session_result_consistency(self, colorphun_session):
         result = colorphun_session
         assert result.duration_s == 30.0
-        assert len(result.traces) == len(result.events)
+        assert result.event_count == len(generate_events("colorphun", 1, 30.0))
         assert result.report.total_joules > 0
         assert result.average_watts == pytest.approx(
             result.report.total_joules / 30.0
@@ -102,21 +104,21 @@ class TestSessions:
             colorphun_session.report.total_joules
         )
 
-    def test_user_traces_exclude_ticks(self, colorphun_session):
-        user = colorphun_session.user_traces()
-        assert all(t.event_type is not EventType.FRAME_TICK for t in user)
-        assert 0 < len(user) < len(colorphun_session.traces)
+    def test_user_events_exclude_ticks(self, colorphun_session):
+        events = generate_events("colorphun", 1, 30.0)
+        ticks = sum(1 for e in events if e.event_type is EventType.FRAME_TICK)
+        assert colorphun_session.user_events == len(events) - ticks
+        assert 0 < colorphun_session.user_events < colorphun_session.event_count
 
     def test_useless_fraction_in_unit_interval(self, colorphun_session):
         assert 0.0 < colorphun_session.useless_user_fraction < 1.0
         assert 0.0 <= colorphun_session.wasted_energy_fraction < 1.0
 
-    def test_estimate_trace_energy_positive(self, colorphun_session):
-        soc = colorphun_session.soc
-        energies = [
-            estimate_trace_energy(soc, trace) for trace in colorphun_session.traces[:50]
-        ]
-        assert all(energy > 0 for energy in energies)
+    def test_estimate_trace_energy_positive(self):
+        soc = snapdragon_821()
+        loop = EventLoop(soc, create_game("colorphun", seed=GAME_CONTENT_SEED))
+        traces = [loop.deliver(event) for event in generate_events("colorphun", 1, 30.0)[:50]]
+        assert all(estimate_trace_energy(soc, trace) > 0 for trace in traces)
 
     def test_battery_hours_plausible(self, colorphun_session):
         assert 5.0 < colorphun_session.battery_hours < 15.0
