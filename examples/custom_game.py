@@ -126,8 +126,7 @@ def main() -> None:
         game = WhackAMole(seed=0)
         runner = runtime_factory(soc, game)
         clock = 0.0
-        for recorded in record_session(9, 30.0).trace:
-            event = recorded.to_event()
+        for event in record_session(9, 30.0).trace.events:
             if event.timestamp > clock:
                 soc.advance_time(event.timestamp - clock)
                 clock = event.timestamp

@@ -70,9 +70,9 @@ def main() -> None:
     runtime = SnipRuntime(soc, create_game(GAME, seed=GAME_CONTENT_SEED),
                           fleet_table, config)
     clock = 0.0
-    from repro.users.tracegen import generate_events
+    from repro.users.tracegen import generate_trace
 
-    for event in generate_events(GAME, seed=123, duration_s=SESSION_S):
+    for event in generate_trace(GAME, seed=123, duration_s=SESSION_S).events:
         if event.timestamp > clock:
             soc.advance_time(event.timestamp - clock)
             clock = event.timestamp

@@ -17,7 +17,7 @@ from repro import (
     SnipConfig,
     SnipRuntime,
     create_game,
-    generate_events,
+    generate_trace,
     run_baseline_session,
     snapdragon_821,
 )
@@ -54,7 +54,8 @@ def main() -> None:
     game = create_game(GAME, seed=GAME_CONTENT_SEED)
     runtime = SnipRuntime(soc, game, package.table, profiler.config)
     clock = 0.0
-    for event in generate_events(GAME, seed=EVAL_SEED, duration_s=EVAL_DURATION_S):
+    eval_trace = generate_trace(GAME, seed=EVAL_SEED, duration_s=EVAL_DURATION_S)
+    for event in eval_trace.events:
         if event.timestamp > clock:
             soc.advance_time(event.timestamp - clock)
             clock = event.timestamp

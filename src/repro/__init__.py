@@ -19,14 +19,14 @@ A faithful, laptop-scale reproduction of Rengasamy et al., IISWC 2020
 Quickstart::
 
     from repro import CloudProfiler, SnipConfig, SnipRuntime
-    from repro import create_game, generate_events, snapdragon_821
+    from repro import create_game, generate_trace, snapdragon_821
 
     profiler = CloudProfiler(SnipConfig())
     package = profiler.build_package_from_sessions(
         "ab_evolution", seeds=[1, 2], duration_s=30.0)
     soc = snapdragon_821()
     runtime = SnipRuntime(soc, create_game("ab_evolution"), package.table)
-    for event in generate_events("ab_evolution", seed=7, duration_s=10.0):
+    for event in generate_trace("ab_evolution", seed=7, duration_s=10.0).events:
         runtime.deliver(event)
     print(runtime.stats.coverage)
 """

@@ -165,10 +165,11 @@ def _publish_cycles(
 ) -> List[CycleDecision]:
     """Run every cycle's table through the service shipping pass.
 
-    Delegates to :func:`repro.service.shipping.ship_cycle` — the same
-    publish -> promote sequence the ``serve`` daemon's offline path
-    uses — so batch replays of the experiment and live service cycles
-    record identical verdicts for identical tables.
+    Delegates to :func:`repro.service.shipping.ship_cycle`: publish,
+    then gated promotion unless the digest deduplicated to a version
+    the registry already holds (the ``serve`` daemon, which promotes
+    through the registry directly, re-judges such a version when it is
+    not the champion).
     """
     decisions = []
     for result, package in zip(results, packages):

@@ -16,7 +16,7 @@ from repro.analysis.report import pct, render_table
 from repro.games.registry import GAME_CONTENT_SEED, create_game
 from repro.soc.soc import snapdragon_821
 from repro.users.sessions import estimate_trace_energy
-from repro.users.tracegen import generate_events
+from repro.users.tracegen import generate_trace
 
 
 @dataclass
@@ -53,7 +53,7 @@ def run_table1(
     cacheable_ip = 0.0
     from repro.schemes.max_ip import SKIPPABLE_IPS
 
-    for event in generate_events(game_name, seed, duration_s):
+    for event in generate_trace(game_name, seed, duration_s).events:
         game.advance_engine(event)
         trace = game.process(event)
         total += estimate_trace_energy(soc, trace)

@@ -27,7 +27,7 @@ from repro.android.events import (
 )
 from repro.android.sensor_hub import RawSample, SensorHub
 from repro.android.sensor_manager import SensorManager
-from repro.android.tracing import EventTracer, RecordedEvent, RecordedTrace
+from repro.android.tracing import EventTracer, RecordedTrace
 
 __all__ = [
     "Binder",
@@ -43,7 +43,6 @@ __all__ = [
     "charge_delivery",
     "charge_trace",
     "RawSample",
-    "RecordedEvent",
     "RecordedTrace",
     "SensorHub",
     "SensorManager",

@@ -109,8 +109,7 @@ class Emulator:
         from repro.games.base import InputCategory
 
         records: List[ProfileRecord] = []
-        for recorded in trace:
-            event = recorded.to_event()
+        for event in trace.events:
             # The engine's pre-handler bookkeeping runs first, exactly
             # as the device's delivery path does; the memory dump is
             # taken at probe time (post-engine, pre-handler).

@@ -10,58 +10,36 @@ recorder plus the serializable trace format.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Tuple
+from typing import Any, Dict, Iterator, List
 
 from repro.android.events import Event, EventType
-from repro.errors import TraceError
-
-
-@dataclass(frozen=True)
-class RecordedEvent:
-    """One event as captured by the tracer (values only, no outputs)."""
-
-    sequence: int
-    timestamp: float
-    event_type: EventType
-    values: Tuple[Tuple[str, Any], ...]
-
-    def to_event(self) -> Event:
-        """Reconstruct the live event object for replay."""
-        return Event(
-            self.event_type,
-            dict(self.values),
-            sequence=self.sequence,
-            timestamp=self.timestamp,
-        )
-
-    @property
-    def nbytes(self) -> int:
-        """Record size contributed to the uplink payload."""
-        return self.to_event().nbytes
+from repro.errors import EventError, TraceError
 
 
 @dataclass
 class RecordedTrace:
-    """A full session recording: ordered events plus metadata."""
+    """A full session recording: ordered events plus metadata.
+
+    ``events`` are the live events the session delivers, in sequence
+    order; the emulator, the fleet and every session runner replay them
+    as they are.
+    """
 
     game_name: str
     seed: int
-    events: List[RecordedEvent] = field(default_factory=list)
+    events: List[Event] = field(default_factory=list)
+    #: Total bytes the phone must upload for ``events``, counted once
+    #: by whatever builds the trace (a property would re-walk every
+    #: event on each read). The paper's Sec. VII-C point: client-side
+    #: collection overhead is negligible because only In.Event data is
+    #: shipped.
+    uplink_bytes: int = 0
 
     def __len__(self) -> int:
         return len(self.events)
 
-    def __iter__(self) -> Iterator[RecordedEvent]:
+    def __iter__(self) -> Iterator[Event]:
         return iter(self.events)
-
-    @property
-    def uplink_bytes(self) -> int:
-        """Total bytes the phone must upload for this trace.
-
-        The paper's Sec. VII-C point: client-side collection overhead is
-        negligible because only In.Event data is shipped.
-        """
-        return sum(record.nbytes for record in self.events)
 
     def to_dict(self) -> Dict[str, Any]:
         """Plain-dict form (JSON-serialisable) for storage/transfer."""
@@ -70,31 +48,37 @@ class RecordedTrace:
             "seed": self.seed,
             "events": [
                 {
-                    "sequence": record.sequence,
-                    "timestamp": record.timestamp,
-                    "event_type": record.event_type.value,
-                    "values": dict(record.values),
+                    "sequence": event.sequence,
+                    "timestamp": event.timestamp,
+                    "event_type": event.event_type.value,
+                    "values": dict(sorted(event.values.items())),
                 }
-                for record in self.events
+                for event in self.events
             ],
         }
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "RecordedTrace":
-        """Inverse of :meth:`to_dict`."""
+        """Inverse of :meth:`to_dict`.
+
+        Every event is rebuilt through :class:`Event`'s schema
+        validation and recorded through :class:`EventTracer`, so a
+        payload that could not replay raises :class:`TraceError` here.
+        """
         try:
-            events = [
-                RecordedEvent(
-                    sequence=entry["sequence"],
-                    timestamp=entry["timestamp"],
-                    event_type=EventType(entry["event_type"]),
-                    values=tuple(sorted(entry["values"].items())),
+            tracer = EventTracer(payload["game_name"], payload["seed"])
+            for entry in payload["events"]:
+                tracer.record(
+                    Event(
+                        EventType(entry["event_type"]),
+                        entry["values"],
+                        sequence=int(entry["sequence"]),
+                        timestamp=float(entry["timestamp"]),
+                    )
                 )
-                for entry in payload["events"]
-            ]
-            return cls(game_name=payload["game_name"], seed=payload["seed"], events=events)
-        except (KeyError, ValueError) as exc:
+        except (KeyError, ValueError, TypeError, EventError) as exc:
             raise TraceError(f"malformed trace payload: {exc}") from exc
+        return tracer.trace
 
 
 class EventTracer:
@@ -105,19 +89,14 @@ class EventTracer:
 
     def record(self, event: Event) -> None:
         """Append one event to the trace, preserving arrival order."""
-        if self._trace.events and event.sequence <= self._trace.events[-1].sequence:
+        events = self._trace.events
+        if events and event.sequence <= events[-1].sequence:
             raise TraceError(
                 f"event sequence regressed: {event.sequence} after "
-                f"{self._trace.events[-1].sequence}"
+                f"{events[-1].sequence}"
             )
-        self._trace.events.append(
-            RecordedEvent(
-                sequence=event.sequence,
-                timestamp=event.timestamp,
-                event_type=event.event_type,
-                values=tuple(sorted(event.values.items())),
-            )
-        )
+        events.append(event)
+        self._trace.uplink_bytes += event.nbytes
 
     @property
     def trace(self) -> RecordedTrace:

@@ -37,7 +37,7 @@ from repro.soc.component import ComponentGroup
 from repro.soc.soc import snapdragon_821
 from repro.units import format_bytes
 from repro.users.sessions import run_baseline_session
-from repro.users.tracegen import generate_events
+from repro.users.tracegen import generate_trace
 
 
 def _parse_seeds(raw: str) -> List[int]:
@@ -385,7 +385,7 @@ def _cmd_snip(args, out) -> int:
         soc, create_game(args.game, seed=GAME_CONTENT_SEED), package.table, config
     )
     clock = 0.0
-    for event in generate_events(args.game, args.eval_seed, args.eval_duration):
+    for event in generate_trace(args.game, args.eval_seed, args.eval_duration).events:
         if event.timestamp > clock:
             soc.advance_time(event.timestamp - clock)
             clock = event.timestamp
@@ -462,10 +462,9 @@ def _cmd_federate(args, out) -> int:
     )
     population = Population(seed=11)
     per_device = {
-        device_id: [
-            population.user_trace(args.game, device_id, session, args.duration)
-            for session in range(args.sessions)
-        ]
+        device_id: population.iter_columnar_sessions(
+            args.game, device_id, args.sessions, args.duration
+        )
         for device_id in range(args.devices)
     }
     table, uplink = federate(args.game, per_device, package.selection, config)
@@ -816,7 +815,13 @@ def _cmd_registry(args, out) -> int:
 
 
 def _cmd_ota_info(args, out) -> int:
-    table = load_table(args.path)
+    from repro.errors import MemoizationError
+
+    try:
+        table = load_table(args.path)
+    except MemoizationError as exc:
+        print(f"ota-info error: {exc}", file=sys.stderr)
+        return 2
     print(f"entries:  {table.entry_count}", file=out)
     print(f"size:     {format_bytes(table.total_bytes)}", file=out)
     for event_type in table.event_types():

@@ -150,7 +150,11 @@ class ContributionBuilder:
         self._plans, self._fold_cache = cached
 
     def add_session(self, trace: RecordedTrace, session: int) -> None:
-        """Replay one session locally and fold its statistics."""
+        """Replay one session through the emulator and fold its statistics.
+
+        The scalar reference for :meth:`add_session_events`; only
+        :func:`~repro.fleet.work.run_device_reference` folds through it.
+        """
         contribution = self.contribution
         selection = self._selection
         game = create_game(contribution.game_name, seed=GAME_CONTENT_SEED)
@@ -175,8 +179,8 @@ class ContributionBuilder:
     def add_session_events(self, events: Sequence[Event], session: int) -> None:
         """Fused fast-path fold: one pass, no emulator, no re-replay.
 
-        Statistics-identical to :meth:`add_session` over the recorded
-        form of the same events: the emulator's per-event
+        Statistics-identical to :meth:`add_session` over a trace of the
+        same events: the emulator's per-event
         ``ProfileRecord`` exists only to be torn back apart into a key
         and a trace, so this folds straight from the live replay.
 
@@ -370,7 +374,7 @@ def build_device_contribution(
     """
     builder = ContributionBuilder(device_id, game_name, selection)
     for session, trace in enumerate(traces):
-        builder.add_session(trace, session)
+        builder.add_session_events(trace.events, session)
     return builder.finish()
 
 
@@ -486,7 +490,7 @@ def federate_contributions(
 
 def federate(
     game_name: str,
-    per_device_traces: Dict[int, List[RecordedTrace]],
+    per_device_traces: Dict[int, Iterable[RecordedTrace]],
     selection: SelectedInputs,
     config: SnipConfig,
 ) -> Tuple[SnipTable, int]:

@@ -85,10 +85,12 @@ class ContinuousLearner:
         return int(self.initial_events * (self.ramp ** epoch))
 
     def _truncate(self, trace: RecordedTrace, limit: int) -> RecordedTrace:
+        events = trace.events[:limit]
         return RecordedTrace(
             game_name=trace.game_name,
             seed=trace.seed,
-            events=trace.events[:limit],
+            events=events,
+            uplink_bytes=sum(event.nbytes for event in events),
         )
 
     # -- the loop --------------------------------------------------------------
@@ -180,8 +182,7 @@ def evaluate_table(
     total_fields = 0
     wrong_fields = 0
     events = 0
-    for recorded in trace:
-        event = recorded.to_event()
+    for event in trace.events:
         game.advance_engine(event)
         entry = None
         if table.knows(event.event_type):

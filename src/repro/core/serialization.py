@@ -22,6 +22,7 @@ from repro.core.selection import SelectedInputs
 from repro.core.table import SnipTable, TableEntry
 from repro.errors import MemoizationError
 from repro.games.base import FieldWrite, InputCategory, OutputCategory
+from repro.storage import atomic_write
 
 #: Wire-format version; bumped on incompatible changes.
 FORMAT_VERSION = 1
@@ -115,7 +116,15 @@ def table_to_dict(table: SnipTable) -> Dict[str, Any]:
 
 
 def table_from_dict(payload: Dict[str, Any]) -> SnipTable:
-    """Reconstruct a live table from an OTA document."""
+    """Reconstruct a live table from an OTA document.
+
+    Raises :class:`MemoizationError` for any document that is not a
+    well-formed table of this format version.
+    """
+    if not isinstance(payload, dict):
+        raise MemoizationError(
+            f"malformed OTA table document: {type(payload).__name__}, not an object"
+        )
     version = payload.get("format_version")
     if version != FORMAT_VERSION:
         raise MemoizationError(
@@ -139,22 +148,31 @@ def table_from_dict(payload: Dict[str, Any]) -> SnipTable:
                     ),
                 )
         return table
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, AttributeError) as exc:
+        # AttributeError: a nested part (``entries``, ``selection``, a
+        # value payload) is a list or scalar where an object belongs.
         raise MemoizationError(f"malformed OTA table document: {exc}") from exc
 
 
 def dump_table(table: SnipTable, path: str) -> int:
-    """Write the OTA document to ``path``; returns bytes written."""
-    document = json.dumps(table_to_dict(table), separators=(",", ":"))
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(document)
+    """Atomically write the OTA document to ``path``; returns bytes written."""
+    document = json.dumps(table_to_dict(table), separators=(",", ":")).encode("utf-8")
+    atomic_write(path, document)
     return len(document)
 
 
 def load_table(path: str) -> SnipTable:
-    """Load an OTA document from ``path``."""
+    """Load an OTA document from ``path``.
+
+    A torn or corrupted file raises :class:`MemoizationError`, as a
+    malformed document does.
+    """
     with open(path, "r", encoding="utf-8") as handle:
-        return table_from_dict(json.load(handle))
+        try:
+            document = json.load(handle)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise MemoizationError(f"malformed OTA table file {path}: {exc}") from exc
+    return table_from_dict(document)
 
 
 # -- cloud-side package wire format ----------------------------------------

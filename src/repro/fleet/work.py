@@ -96,8 +96,7 @@ class ShardResult:
 def _replay_through(runner, trace, effective_s: float, soc) -> None:
     """Feed a recorded trace through a runner, advancing session time."""
     clock = 0.0
-    for recorded in trace:
-        event = recorded.to_event()
+    for event in trace.events:
         if event.timestamp > clock:
             soc.advance_time(event.timestamp - clock)
             clock = event.timestamp
@@ -222,8 +221,9 @@ def run_device(
 ) -> DeviceResult:
     """Simulate one device's sessions; pure in ``(spec.seed, device_id)``.
 
-    Columnar fast path: sessions are generated in structure-of-arrays
-    form (each event materialised exactly once), games come from the
+    Fast path: sessions come from
+    :meth:`~repro.users.population.Population.iter_columnar_sessions`
+    (each event materialised exactly once), games come from the
     template cache, energy lands in append-only :class:`ColumnarMeter`
     ledgers fed by static delivery/upkeep cost patterns, probe keys for
     event-only selections are precomputed per session, the baseline
@@ -265,10 +265,10 @@ def run_device(
     sessions = population.iter_columnar_sessions(
         spec.game_name, device_id, spec.sessions_per_device, spec.duration_s
     )
-    for session, columnar in enumerate(sessions):
-        events = columnar.events
+    for session, trace in enumerate(sessions):
+        events = trace.events
         result.events += len(events)
-        result.raw_uplink_bytes += columnar.uplink_bytes
+        result.raw_uplink_bytes += trace.uplink_bytes
         if spec.measure_energy:
             effective_s = spec.duration_s * archetype.session_scale
             soc = snapdragon_821(meter=ColumnarMeter())

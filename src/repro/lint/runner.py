@@ -43,6 +43,7 @@ from repro.lint.core import (
     RULE_REGISTRY,
     Rule,
 )
+from repro.storage import atomic_write
 
 PARSE_ERROR_RULE = "parse-error"
 
@@ -347,11 +348,7 @@ def write_baseline(path: str, result: LintResult) -> int:
     counts: Dict[str, int] = {}
     for finding in result.findings:
         counts[finding.baseline_key] = counts.get(finding.baseline_key, 0) + 1
-    document = {"version": 1, "findings": dict(sorted(counts.items()))}
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return len(counts)
+    return _store_baseline(path, counts)
 
 
 def write_pruned_baseline(path: str, result: LintResult) -> int:
@@ -367,8 +364,16 @@ def write_pruned_baseline(path: str, result: LintResult) -> int:
         for key, count in sorted(result.baseline_consumed.items())
         if count > 0
     }
+    return _store_baseline(path, counts)
+
+
+def _store_baseline(path: str, counts: Dict[str, int]) -> int:
+    """Atomically replace ``path`` with a version-1 baseline document.
+
+    ``--prune`` rewrites the user's baseline in place, so a failed write
+    must leave the previous file whole. Returns the number of keys.
+    """
     document = {"version": 1, "findings": counts}
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    text = json.dumps(document, indent=2, sort_keys=True) + "\n"
+    atomic_write(path, text.encode("utf-8"))
     return len(counts)

@@ -49,9 +49,9 @@ def measure_energy_saved(
     soc = snapdragon_821(meter=ColumnarMeter())
     game = create_game(package.game_name, seed=GAME_CONTENT_SEED)
     runtime = SnipRuntime(soc, game, package.table.clone(), config)
+    trace = generate_trace(package.game_name, eval_seed, eval_duration_s)
     clock = 0.0
-    for recorded in generate_trace(package.game_name, eval_seed, eval_duration_s):
-        event = recorded.to_event()
+    for event in trace.events:
         if event.timestamp > clock:
             soc.advance_time(event.timestamp - clock)
             clock = event.timestamp

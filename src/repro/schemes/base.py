@@ -15,7 +15,7 @@ from repro.games.base import Game
 from repro.soc.energy import ColumnarMeter, EnergyReport, TAG_LOOKUP
 from repro.soc.soc import Soc, snapdragon_821
 from repro.games.registry import GAME_CONTENT_SEED, create_game, fresh_game
-from repro.users.tracegen import columnar_session, generate_events
+from repro.users.tracegen import generate_events, generate_trace
 
 
 @dataclass
@@ -107,17 +107,17 @@ def run_scheme_session(
 ) -> SchemeRun:
     """Run one full session under ``scheme`` and collect the ledger.
 
-    Columnar fast path: the event stream is generated in
-    structure-of-arrays form (each event materialised exactly once) and
-    the ledger — when the SoC is ours to build — is an append-only
-    :class:`~repro.soc.energy.ColumnarMeter` folded once at report
-    time. Reports are byte-identical to the scalar reference.
+    Fast path: the events come from
+    :func:`~repro.users.tracegen.generate_trace` (each materialised
+    exactly once) and the ledger — when the SoC is ours to build — is an
+    append-only :class:`~repro.soc.energy.ColumnarMeter` folded once at
+    report time. Reports are byte-identical to the scalar reference.
     """
     soc = soc or snapdragon_821(meter=ColumnarMeter())
     game = fresh_game(game_name, seed=GAME_CONTENT_SEED)
     runner = scheme.make_runner(soc, game)
     clock = 0.0
-    for event in columnar_session(game_name, seed, duration_s).events:
+    for event in generate_trace(game_name, seed, duration_s).events:
         if event.timestamp > clock:
             soc.advance_time(event.timestamp - clock)
             clock = event.timestamp

@@ -4,15 +4,26 @@ from __future__ import annotations
 
 from repro.android.dispatch import EventLoop
 from repro.games.base import Game
+from repro.games.handler_memo import MemoBaselineLoop
 from repro.schemes.base import Scheme
 from repro.soc.soc import Soc
 
 
 class _BaselineRunner:
-    """EventLoop wrapper exposing the scheme counters."""
+    """The baseline event loop, exposing the scheme counters.
+
+    On a columnar SoC (the one
+    :func:`~repro.schemes.base.run_scheme_session` builds) the loop is
+    :class:`MemoBaselineLoop`, which charges the same ledger as
+    :class:`EventLoop` but runs a handler only for (state, event) pairs
+    the process has not seen; the plain-meter SoC of the scalar
+    reference keeps :class:`EventLoop`.
+    """
 
     def __init__(self, soc: Soc, game: Game) -> None:
-        self._loop = EventLoop(soc, game)
+        self._loop = (
+            MemoBaselineLoop(soc, game) if soc.columnar else EventLoop(soc, game)
+        )
 
     def deliver(self, event) -> None:
         self._loop.deliver(event)

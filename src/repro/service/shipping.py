@@ -1,10 +1,14 @@
-"""Shared publish -> promote shipping pass.
+"""Fig. 12's publish -> promote shipping pass.
 
 One learning cycle's table does not ship blind: it is published into
 the registry (content-deduplicated) and judged by the gated promotion
-pass. This module is the single implementation of that sequence, used
-by the fig12 batch driver and the ``serve`` daemon's offline path, so
-both record identical verdicts for identical inputs.
+pass. The fig12 batch driver ships every epoch through
+:func:`ship_cycle`. The ``serve`` daemon does not use it: its publish
+stage calls :meth:`PackageRegistry.publish` and its offline ship mode
+calls :meth:`PackageRegistry.promote` directly. The two differ on a
+candidate whose digest deduplicates to an earlier version that is not
+the champion: :func:`ship_cycle` declines to re-judge it, the daemon
+judges it again.
 """
 
 from __future__ import annotations
@@ -44,8 +48,8 @@ def ship_cycle(
     A digest the slot already holds is not re-judged: nothing new can
     ship, and re-promoting the deduplicated entry would churn its
     recorded decision. Both branches are idempotent, so replaying a
-    cycle (fig12 against a reused registry, a resumed daemon) yields
-    the same decision and byte-identical registry state.
+    cycle (fig12 against a reused registry) yields the same decision
+    and byte-identical registry state.
     """
     entry, created = registry.publish(
         game_name,

@@ -20,7 +20,7 @@ from repro.android.events import Event
 from repro.android.tracing import EventTracer, RecordedTrace
 from repro.rng import ReproRng
 from repro.users.behavior import behavior_for
-from repro.users.tracegen import ColumnarSession, assemble_columnar, assemble_events
+from repro.users.tracegen import assemble_columnar, assemble_events
 
 
 @dataclass(frozen=True)
@@ -116,7 +116,8 @@ class Population:
 
         Tempo is applied by generating a longer/shorter raw timeline and
         compressing it into the requested duration, which scales event
-        rates without distorting the habit structure.
+        rates without distorting the habit structure. Part of the scalar
+        reference chain behind :meth:`user_trace`.
         """
         archetype = self.archetype_of(user_id)
         rng = ReproRng(self.seed).fork(f"{game_name}:{user_id}:{session}")
@@ -140,6 +141,8 @@ class Population:
         """A full recorded session for one user (gestures + ticks).
 
         The effective session length follows the archetype's preference.
+        The scalar reference for :meth:`iter_columnar_sessions`, built
+        event by event through :class:`EventTracer`.
         """
         archetype = self.archetype_of(user_id)
         effective = duration_s * archetype.session_scale
@@ -154,28 +157,26 @@ class Population:
     ) -> Iterator[RecordedTrace]:
         """Stream one user's recorded sessions, one trace at a time.
 
-        The fleet's memory-frugal device loop consumes this instead of
-        materialising every session upfront: each yielded trace is
-        replayed and dropped before the next is generated, so peak
-        memory per device is one session's events regardless of
-        ``sessions``. Each trace is a pure function of
-        ``(seed, game, user, session)`` — identical to indexing into
-        the batch list.
+        :func:`~repro.fleet.work.run_device_reference` replays these;
+        each trace is a pure function of ``(seed, game, user,
+        session)``, equal to :meth:`user_trace` of that session.
         """
         for session in range(sessions):
             yield self.user_trace(game_name, user_id, session, duration_s)
 
     def iter_columnar_sessions(
         self, game_name: str, user_id: int, sessions: int, duration_s: float
-    ) -> Iterator[ColumnarSession]:
-        """Columnar twin of :meth:`iter_user_traces`.
+    ) -> Iterator[RecordedTrace]:
+        """Stream one user's recorded sessions, one trace at a time.
 
-        Yields each session as a :class:`ColumnarSession` whose events
-        are bit-identical to the ``to_event`` reconstructions of the
-        corresponding :class:`RecordedTrace` — without ever building the
-        recorded intermediates. Tempo compression happens on raw
-        ``(timestamp / tempo, event)`` pairs, reproducing the scalar
-        path's float expressions exactly.
+        The fleet's device loop and ``repro-snip federate`` consume
+        this: each yielded trace is replayed and dropped before the next
+        is generated, so peak memory per device is one session's events
+        regardless of ``sessions``. Events are built once by
+        :func:`~repro.users.tracegen.assemble_columnar` and equal those
+        of :meth:`user_trace` for the same session. Tempo compression
+        happens on raw ``(timestamp / tempo, event)`` pairs, reproducing
+        the scalar path's float expressions exactly.
         """
         archetype = self.archetype_of(user_id)
         effective = duration_s * archetype.session_scale

@@ -19,7 +19,7 @@ from repro.games.handler_memo import MemoBaselineLoop
 from repro.games.registry import GAME_CONTENT_SEED, create_game, fresh_game
 from repro.soc.energy import ColumnarMeter, EnergyReport
 from repro.soc.soc import Soc, snapdragon_821
-from repro.users.tracegen import columnar_session, generate_events
+from repro.users.tracegen import generate_events, generate_trace
 
 #: Default session length used by the characterization experiments; the
 #: paper measures 5-10 minute windows and extrapolates.
@@ -175,17 +175,17 @@ def run_baseline_session(
 ) -> SessionResult:
     """Play one unoptimised session and return what it measured.
 
-    Events are generated in structure-of-arrays form and delivered
-    through :class:`~repro.games.handler_memo.MemoBaselineLoop` on a
-    columnar SoC, so a handler runs only for (state, event) pairs the
-    process has not seen. Each delivered memo entry carries what Fig. 4
+    The events of :func:`~repro.users.tracegen.generate_trace` are
+    delivered through :class:`~repro.games.handler_memo.MemoBaselineLoop`
+    on a columnar SoC, so a handler runs only for (state, event) pairs
+    the process has not seen. Each delivered memo entry carries what Fig. 4
     reads of its event: whether any write changed a value, and the
     handler's work, priced with :func:`estimate_work_energy`. The result
     is identical to the scalar reference.
     """
     soc = snapdragon_821(meter=ColumnarMeter())
     loop = MemoBaselineLoop(soc, fresh_game(game_name, seed=GAME_CONTENT_SEED))
-    events = columnar_session(game_name, seed, duration_s).events
+    events = generate_trace(game_name, seed, duration_s).events
     user_energies: List[float] = []
     wasted_energies: List[float] = []
     clock = 0.0

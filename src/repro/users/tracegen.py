@@ -2,16 +2,19 @@
 
 Combines a game's user-behaviour gestures with the choreographer frame
 ticks the game subscribes to, orders everything by timestamp, and
-assigns sequence numbers — producing the same event stream shape the
+assigns sequence numbers — producing the :class:`RecordedTrace` the
 device-side tracer would record during real play.
+
+:func:`generate_trace` is the one production generator. The scalar
+chain (:func:`generate_events` over :func:`assemble_events`) builds the
+same events one validated :class:`Event` at a time; it is kept as the
+reference the equivalence suites and the ``*_reference`` session
+runners play.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import List, Sequence, Tuple
 
 from repro.android.events import (
     EVENT_SCHEMAS,
@@ -20,7 +23,7 @@ from repro.android.events import (
     fast_event,
     make_frame_tick,
 )
-from repro.android.tracing import EventTracer, RecordedTrace
+from repro.android.tracing import RecordedTrace
 from repro.games.registry import game_info
 from repro.rng import ReproRng
 from repro.users.behavior import behavior_for
@@ -28,9 +31,6 @@ from repro.users.behavior import behavior_for
 #: Choreographer callback rate for subscribed games.
 TICK_HZ = 60.0
 
-#: Stable event-type order for the columnar ``type_codes`` axis.
-EVENT_TYPE_ORDER: Tuple[EventType, ...] = tuple(EventType)
-_TYPE_CODE = {event_type: code for code, event_type in enumerate(EVENT_TYPE_ORDER)}
 _TICK_SCHEMA = EVENT_SCHEMAS[EventType.FRAME_TICK]
 #: Frame ticks cycle through 4 vsync slots with a constant delta; the
 #: four value dicts are interned (events never mutate their values).
@@ -54,7 +54,8 @@ def assemble_events(
     """Merge user gestures with the game's frame ticks and order them.
 
     Events carry strictly increasing sequence numbers; ties in timestamp
-    are broken deterministically by event type.
+    are broken deterministically by event type. The scalar reference
+    for :func:`assemble_columnar`.
     """
     if duration_s <= 0:
         raise ValueError(f"duration must be positive, got {duration_s}")
@@ -72,7 +73,11 @@ def assemble_events(
 
 
 def generate_events(game_name: str, seed: int, duration_s: float) -> List[Event]:
-    """The full ordered event stream for one session."""
+    """The full ordered event stream for one session, event by event.
+
+    The scalar reference for :func:`generate_trace`: the same events in
+    type, values, sequence and timestamp.
+    """
     if duration_s <= 0:
         raise ValueError(f"duration must be positive, got {duration_s}")
     rng = ReproRng(seed).fork(f"user:{game_name}")
@@ -80,83 +85,21 @@ def generate_events(game_name: str, seed: int, duration_s: float) -> List[Event]
     return assemble_events(game_name, gestures, duration_s)
 
 
-def generate_trace(game_name: str, seed: int, duration_s: float) -> RecordedTrace:
-    """The same stream packaged as a device recording (for the cloud)."""
-    tracer = EventTracer(game_name=game_name, seed=seed)
-    for event in generate_events(game_name, seed, duration_s):
-        tracer.record(event)
-    return tracer.trace
-
-
-# -- columnar fast path -------------------------------------------------
-
-
-@dataclass
-class ColumnarSession:
-    """One session's event stream in structure-of-arrays form.
-
-    The scalar pipeline materialises each event three times (behaviour
-    gesture → re-quantised assembly copy → ``RecordedEvent`` →
-    ``to_event`` replay copy); this encoding materialises each event
-    exactly once and carries the per-event scalars as numpy columns for
-    the batched probe and ledger layers. ``events[i]`` corresponds to
-    ``type_codes[i]``/``timestamps[i]``; events compare equal — bit for
-    bit — to the scalar path's reconstructions (asserted by the
-    golden-equivalence suite).
-    """
-
-    game_name: str
-    seed: int
-    #: Ordered, sequence-numbered events (shared-dict fast objects).
-    events: List[Event]
-    #: Total In.Event bytes the phone would upload for this stream.
-    uplink_bytes: int
-    #: Lazy columns: the federate-only fleet path never touches them,
-    #: so the arrays materialise on first access.
-    _type_codes: Optional[np.ndarray] = None
-    _timestamps: Optional[np.ndarray] = None
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    @property
-    def type_codes(self) -> np.ndarray:
-        """Index of each event's type in :data:`EVENT_TYPE_ORDER` (int8)."""
-        codes = self._type_codes
-        if codes is None:
-            codes = self._type_codes = np.fromiter(
-                (_TYPE_CODE[event.event_type] for event in self.events),
-                dtype=np.int8,
-                count=len(self.events),
-            )
-        return codes
-
-    @property
-    def timestamps(self) -> np.ndarray:
-        """Event timestamps in session seconds (float64)."""
-        timestamps = self._timestamps
-        if timestamps is None:
-            timestamps = self._timestamps = np.fromiter(
-                (event.timestamp for event in self.events),
-                dtype=np.float64,
-                count=len(self.events),
-            )
-        return timestamps
-
-
 def assemble_columnar(
     game_name: str,
     gestures: Sequence[Tuple[float, Event]],
     duration_s: float,
     seed: int = 0,
-) -> ColumnarSession:
-    """Columnar twin of :func:`assemble_events`.
+) -> RecordedTrace:
+    """Merge gestures with frame ticks into one session's trace.
 
     ``gestures`` carries ``(timestamp, event)`` pairs so archetype tempo
     compression needs no intermediate event copies; the events' value
-    dicts are adopted as-is (already quantised and schema-ordered).
-    Ordering, tie-breaking, and sequence numbering replicate the scalar
-    assembler exactly.
+    dicts are adopted as-is (already quantised and schema-ordered), so
+    each event is materialised exactly once, and the upload size is
+    counted per type as the events are collected. Ordering,
+    tie-breaking, and sequence numbering replicate
+    :func:`assemble_events` exactly.
     """
     if duration_s <= 0:
         raise ValueError(f"duration must be positive, got {duration_s}")
@@ -187,7 +130,7 @@ def assemble_columnar(
             events.append(
                 fast_event(source.schema, source.values, sequence, timestamp)
             )
-    return ColumnarSession(
+    return RecordedTrace(
         game_name=game_name,
         seed=seed,
         events=events,
@@ -195,8 +138,14 @@ def assemble_columnar(
     )
 
 
-def columnar_session(game_name: str, seed: int, duration_s: float) -> ColumnarSession:
-    """Columnar twin of :func:`generate_events` (one session stream)."""
+def generate_trace(game_name: str, seed: int, duration_s: float) -> RecordedTrace:
+    """One session as the device records it, ready for the cloud.
+
+    The production generator: the profiler, the figures and the session
+    runners play the events built here, and
+    :meth:`~repro.users.population.Population.iter_columnar_sessions`
+    builds the fleet's sessions through the same :func:`assemble_columnar`.
+    """
     if duration_s <= 0:
         raise ValueError(f"duration must be positive, got {duration_s}")
     rng = ReproRng(seed).fork(f"user:{game_name}")

@@ -19,7 +19,7 @@ from repro.games.registry import GAME_CONTENT_SEED, create_game, fresh_game
 from repro.soc.energy import ColumnarMeter
 from repro.soc.power_profiles import pixel_xl_profiles
 from repro.soc.soc import IP_GPU, snapdragon_821
-from repro.users.tracegen import columnar_session
+from repro.users.tracegen import generate_trace
 
 
 @pytest.fixture()
@@ -108,7 +108,7 @@ class TestDeliveryPatternProfiles:
                 defaults.cpu, big_energy_per_cycle=2 * defaults.cpu.big_energy_per_cycle
             ),
         )
-        events = columnar_session("candy_crush", 1, 2.0).events
+        events = generate_trace("candy_crush", 1, 2.0).events
 
         def poured(profiles):
             soc = snapdragon_821(profiles=profiles, meter=ColumnarMeter())

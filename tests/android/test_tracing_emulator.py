@@ -17,7 +17,7 @@ class TestTracer:
         tracer.record(make_touch(300, 400, sequence=2, timestamp=0.2))
         trace = tracer.trace
         assert len(trace) == 2
-        assert trace.events[0].to_event().field("x") == make_touch(100, 200).field("x")
+        assert trace.events[0].field("x") == make_touch(100, 200).field("x")
 
     def test_sequence_regression_rejected(self):
         tracer = EventTracer("colorphun", seed=1)
@@ -38,12 +38,36 @@ class TestTraceSerialization:
         assert rebuilt.game_name == trace.game_name
         assert rebuilt.seed == trace.seed
         assert len(rebuilt) == len(trace)
-        for original, copy in zip(trace, rebuilt):
-            assert original.to_event() == copy.to_event()
+        assert rebuilt.uplink_bytes == trace.uplink_bytes
+        for original, copy in zip(trace.events, rebuilt.events):
+            assert copy == original
+            assert copy.sequence == original.sequence
+            assert copy.timestamp.hex() == original.timestamp.hex()
 
     def test_malformed_payload_rejected(self):
-        with pytest.raises(TraceError):
-            RecordedTrace.from_dict({"events": [{"bad": 1}]})
+        good = generate_trace("colorphun", seed=3, duration_s=1.0).to_dict()
+        touch = next(e for e in good["events"] if e["event_type"] == "touch")
+
+        def with_event(**changes):
+            return dict(good, events=[dict(touch, **changes)])
+
+        malformed = [
+            {"events": [{"bad": 1}]},
+            [],
+            "trace",
+            dict(good, events=5),
+            dict(good, events=["event"]),
+            with_event(event_type="teleport"),
+            with_event(values=list(touch["values"].values())),
+            with_event(values={"x": 1}),
+            with_event(values=dict(touch["values"], extra=1)),
+            with_event(sequence="first"),
+            with_event(timestamp=None),
+            dict(good, events=[touch, touch]),
+        ]
+        for payload in malformed:
+            with pytest.raises(TraceError):
+                RecordedTrace.from_dict(payload)
 
 
 class TestEmulator:

@@ -5,6 +5,8 @@ import json
 import pytest
 
 from repro.android.events import EventType
+from repro.core.config import SnipConfig
+from repro.core.profiler import CloudProfiler
 from repro.core.serialization import (
     FORMAT_VERSION,
     dump_table,
@@ -15,6 +17,14 @@ from repro.core.serialization import (
     table_to_dict,
 )
 from repro.errors import MemoizationError
+
+
+@pytest.fixture(scope="module")
+def small_table():
+    """A table whose 1.3 kB OTA file is small enough to tear at every offset."""
+    return CloudProfiler(SnipConfig(), cache=None).build_package_from_sessions(
+        "colorphun", seeds=[1], duration_s=3.0
+    ).table
 
 
 class TestSelectionRoundtrip:
@@ -58,6 +68,37 @@ class TestTableRoundtrip:
     def test_malformed_document_rejected(self):
         with pytest.raises(MemoizationError):
             table_from_dict({"format_version": FORMAT_VERSION, "oops": 1})
+
+    def test_wrong_shape_documents_rejected(self, small_table):
+        small_document = table_to_dict(small_table)
+        type_name = next(iter(small_document["entries"]))
+        row = small_document["entries"][type_name][0]
+        wrong_shapes = [
+            [],
+            [small_document],
+            "table",
+            None,
+            dict(small_document, entries=[]),
+            dict(small_document, entries="entries"),
+            dict(small_document, selection=[]),
+            dict(small_document, selection="selection"),
+            dict(small_document, selection={type_name: "fields"}),
+            dict(small_document, entries={type_name: "rows"}),
+            dict(small_document, entries={type_name: [dict(row, key=[7])]}),
+            dict(small_document, entries={type_name: [dict(row, writes=[7])]}),
+        ]
+        for document in wrong_shapes:
+            with pytest.raises(MemoizationError):
+                table_from_dict(document)
+
+    def test_torn_file_rejected_at_every_offset(self, small_table, tmp_path):
+        path = tmp_path / "table.json"
+        dump_table(small_table, str(path))
+        whole = path.read_bytes()
+        for offset in range(len(whole)):
+            path.write_bytes(whole[:offset])
+            with pytest.raises(MemoizationError):
+                load_table(str(path))
 
     def test_file_roundtrip(self, ab_package, tmp_path):
         path = str(tmp_path / "table.json")

@@ -33,9 +33,8 @@ def test_trace_roundtrips():
     copy = _roundtrip(trace)
     assert copy.game_name == trace.game_name
     assert len(copy) == len(trace)
-    assert [r.to_event().values for r in copy] == [
-        r.to_event().values for r in trace
-    ]
+    assert copy.uplink_bytes == trace.uplink_bytes
+    assert [e.values for e in copy.events] == [e.values for e in trace.events]
 
 
 def test_energy_report_roundtrips():

@@ -32,7 +32,7 @@ from repro.soc.component import PowerState
 from repro.soc.energy import ColumnarMeter
 from repro.soc.power_profiles import pixel_xl_profiles
 from repro.soc.soc import snapdragon_821
-from repro.users.tracegen import columnar_session
+from repro.users.tracegen import generate_trace
 
 DURATION_S = 2.0
 
@@ -118,7 +118,7 @@ class TestMemoBaselineLoop:
     def test_cold_and_warm_memo_charge_what_the_event_loop_charges(
         self, cold_memos, handler_calls, game_name
     ):
-        events = columnar_session(game_name, 3, DURATION_S).events
+        events = generate_trace(game_name, 3, DURATION_S).events
         expected = pickle.dumps(_event_loop_report(game_name, events))
         handler_calls.clear()
         cold = _play(_memo_loop(game_name), events)
@@ -138,7 +138,7 @@ class TestMemoBaselineLoop:
                 defaults.cpu, big_energy_per_cycle=2 * defaults.cpu.big_energy_per_cycle
             ),
         )
-        events = columnar_session("candy_crush", 1, DURATION_S).events
+        events = generate_trace("candy_crush", 1, DURATION_S).events
         # Default-profile patterns first: an entry whose pattern slot
         # ignored the profiles would pour the default phone's prices.
         _play(_memo_loop("candy_crush"), events)
@@ -155,7 +155,7 @@ class TestMemoBaselineLoop:
     def test_unhashable_state_runs_the_handler_and_records_nothing(
         self, cold_memos, handler_calls
     ):
-        events = columnar_session("candy_crush", 1, DURATION_S).events
+        events = generate_trace("candy_crush", 1, DURATION_S).events
 
         def game_with_a_list():
             game = fresh_game("candy_crush", seed=GAME_CONTENT_SEED)
@@ -172,7 +172,7 @@ class TestMemoBaselineLoop:
 
     def test_the_cap_holds(self, cold_memos, monkeypatch):
         monkeypatch.setattr(handler_memo, "MEMO_CAP", 5)
-        events = columnar_session("candy_crush", 1, DURATION_S).events
+        events = generate_trace("candy_crush", 1, DURATION_S).events
         expected = pickle.dumps(_event_loop_report("candy_crush", events))
         for _ in range(2):
             loop = _memo_loop("candy_crush")
@@ -195,7 +195,7 @@ class TestMemoBaselineLoop:
     def test_a_pattern_is_never_poured_into_a_soc_with_a_component_not_idle(
         self, cold_memos, component, state
     ):
-        events = columnar_session("candy_crush", 1, DURATION_S).events
+        events = generate_trace("candy_crush", 1, DURATION_S).events
         _play(_memo_loop("candy_crush"), events)  # every entry has a pattern
         loop = _memo_loop("candy_crush")
         soc = loop.soc
@@ -231,7 +231,7 @@ class TestSharedWithTheFold:
         package = CloudProfiler(SnipConfig(), cache=None).build_package_from_sessions(
             spec.game_name, seeds=list(spec.profile_seeds), duration_s=spec.profile_duration_s
         )
-        events = columnar_session(spec.game_name, 4, DURATION_S).events
+        events = generate_trace(spec.game_name, 4, DURATION_S).events
 
         def contribution():
             builder = ContributionBuilder(0, spec.game_name, package.selection)
@@ -255,7 +255,7 @@ class TestSharedWithTheFold:
             }
         )
         assert narrower.by_event_type != package.selection.by_event_type
-        events = columnar_session("candy_crush", 4, DURATION_S).events
+        events = generate_trace("candy_crush", 4, DURATION_S).events
 
         def contribution(selection):
             builder = ContributionBuilder(0, "candy_crush", selection)

@@ -9,7 +9,7 @@ from repro.games.registry import GAME_CONTENT_SEED, create_game
 from repro.registry.metrics import DEFAULT_EVAL_SEED, measure_energy_saved
 from repro.soc.soc import snapdragon_821
 from repro.users.sessions import run_baseline_session_reference
-from repro.users.tracegen import generate_trace
+from repro.users.tracegen import generate_events
 
 EVAL_DURATION_S = 3.0
 
@@ -22,13 +22,13 @@ def colorphun_package():
 
 
 def _energy_saved_on_plain_meters(package, config, eval_seed, eval_duration_s):
-    """:func:`measure_energy_saved` on scalar ``EnergyMeter`` SoCs."""
+    """:func:`measure_energy_saved` on scalar ``EnergyMeter`` SoCs and
+    the scalar event generator."""
     soc = snapdragon_821()
     game = create_game(package.game_name, seed=GAME_CONTENT_SEED)
     runtime = SnipRuntime(soc, game, package.table.clone(), config)
     clock = 0.0
-    for recorded in generate_trace(package.game_name, eval_seed, eval_duration_s):
-        event = recorded.to_event()
+    for event in generate_events(package.game_name, eval_seed, eval_duration_s):
         if event.timestamp > clock:
             soc.advance_time(event.timestamp - clock)
             clock = event.timestamp

@@ -81,7 +81,7 @@ class TestCommands:
         assert code == 0
         assert "Developer report" in text
 
-    def test_ota_roundtrip(self, tmp_path):
+    def test_ota_roundtrip(self, tmp_path, capsys):
         path = str(tmp_path / "table.json")
         code, text = run_cli(
             "ota", "colorphun", "--out", path, "--profile-duration", "10"
@@ -90,6 +90,13 @@ class TestCommands:
         code, text = run_cli("ota-info", path)
         assert code == 0
         assert "entries" in text and "key = [" in text
+        torn = tmp_path / "torn.json"
+        torn.write_bytes(Path(path).read_bytes()[:200])
+        capsys.readouterr()
+        code, text = run_cli("ota-info", str(torn))
+        stderr = capsys.readouterr().err
+        assert code == 2 and text == ""
+        assert stderr.startswith("ota-info error: ") and stderr.count("\n") == 1
 
 
 class TestCacheCommands:

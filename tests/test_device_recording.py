@@ -50,8 +50,7 @@ class TestDeviceRecording:
         # The emulator reconstructed the exact outputs the device saw:
         # final state digests agree.
         emu_game = create_game("candy_crush", seed=GAME_CONTENT_SEED)
-        for recorded in trace:
-            event = recorded.to_event()
+        for event in trace.events:
             emu_game.advance_engine(event)
             emu_game.process(event)
         assert emu_game.state.snapshot() == live_game.state.snapshot()

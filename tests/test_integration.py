@@ -20,7 +20,6 @@ from repro.games import handler_memo
 from repro.games.handler_memo import MemoBaselineLoop
 from repro.games.registry import fresh_game
 from repro.soc.energy import ColumnarMeter
-from repro.users.tracegen import columnar_session
 
 
 class TestPublicApi:
@@ -92,7 +91,7 @@ class TestSessionDeterminism:
         game = create_game("candy_crush", seed=GAME_CONTENT_SEED)
         records = Emulator(verify=False).replay(game, trace)
         expected = [record.trace.output_signature() for record in records]
-        events = columnar_session("candy_crush", 4, 10.0).events
+        events = trace.events
         monkeypatch.setattr(handler_memo, "_MEMOS", {})
         for memo_state in ("cold", "warm"):
             loop = MemoBaselineLoop(
