@@ -179,10 +179,12 @@ def delivery_upkeep_pattern(
     Recorded once per ``(game, event type, profiles)`` by running the
     scalar helpers on a scratch SoC built from ``profiles``, which
     captures the precise charge order, values, and zero-skips. Valid
-    for SoCs with those profiles whose components are awake — true of
-    every session path that opts into batching (those paths build their
-    own SoCs and never sleep components mid-session; schemes that do
-    sleep stay on scalar calls).
+    only for SoCs with those profiles whose components are all IDLE
+    (:attr:`~repro.soc.soc.Soc.idle`). Its two users check that before
+    every event and raise :class:`~repro.errors.SimulationError`
+    otherwise: :class:`~repro.games.handler_memo.MemoBaselineLoop` and
+    :class:`~repro.core.runtime.SnipRuntime` on a columnar SoC. Schemes
+    that sleep components (Max IP) charge through the scalar helpers.
     """
     key = (game.name, event.event_type, profiles)
     pattern = _COST_PATTERNS.get(key)

@@ -10,6 +10,10 @@ baseline."
 The probe is not free (Fig. 11c): every event pays the hash plus a
 comparison over the necessary-input bytes, charged under the
 ``lookup`` energy tag so the overhead analysis can slice it out.
+
+On a columnar SoC those charges come from patterns cached per event
+type and per table entry, and a miss runs through the process-wide
+handler memo (see :meth:`SnipRuntime.deliver`).
 """
 
 from __future__ import annotations
@@ -21,10 +25,12 @@ import numpy as np
 
 from repro.android.binder import Binder
 from repro.android.dispatch import (
-    DeliveryPatterns,
+    Pattern,
     charge_delivery,
     charge_trace,
     charge_upkeep,
+    charge_work,
+    delivery_upkeep_pattern,
 )
 from repro.android.events import Event, EventType
 from repro.android.sensor_hub import SensorHub
@@ -32,7 +38,9 @@ from repro.android.sensor_manager import SensorManager
 from repro.core.config import SnipConfig
 from repro.core.fields import FieldInfo
 from repro.core.table import SnipTable, TableEntry
-from repro.games.base import Game, ProcessingTrace
+from repro.errors import SimulationError
+from repro.games.base import FieldWrite, Game
+from repro.games.handler_memo import handler_memo
 from repro.soc.energy import TAG_LOOKUP
 from repro.soc.soc import IP_DISPLAY, Soc
 
@@ -50,6 +58,29 @@ class _OnlineEntry:
     consecutive: int
     cycles_sum: float
     occurrences: int
+
+
+class _TypeCharges:
+    """One event type's charges on a columnar SoC, cached per runtime.
+
+    ``delivery`` is the type's delivery + upkeep pattern. ``probe`` is
+    that pattern followed by the probe's charges, recorded on the
+    type's first probe, which also yields ``compare_bytes``. ``hits``
+    maps ``id(entry)`` to ``(entry, pattern)``: the probe pattern
+    followed by that table entry's hit charges. Holding the entry keeps
+    it alive, so no later entry can take its id while the pattern is
+    cached.
+    """
+
+    __slots__ = ("delivery", "upkeep_cycles", "known", "probe", "compare_bytes", "hits")
+
+    def __init__(self, delivery: Pattern, upkeep_cycles: int, known: bool) -> None:
+        self.delivery = delivery
+        self.upkeep_cycles = upkeep_cycles
+        self.known = known
+        self.probe: Optional[Pattern] = None
+        self.compare_bytes = 0
+        self.hits: Dict[int, Tuple[TableEntry, Pattern]] = {}
 
 
 @dataclass
@@ -119,10 +150,15 @@ class SnipRuntime:
                 for info in self.table.fields_for(event_type)
             )
         )
-        #: Columnar sessions build a columnar SoC; delivery/upkeep
-        #: charges then arrive as static patterns (byte-identical order
-        #: and values) instead of per event sensor-object traversals.
-        self._patterns = DeliveryPatterns(soc, game) if soc.columnar else None
+        #: On a columnar SoC every event's charges are poured from
+        #: cached patterns (byte-identical order and values) and misses
+        #: run through the handler memo; a plain meter keeps the scalar
+        #: per-charge path (see :meth:`deliver`).
+        self._meter = soc.meter if soc.columnar else None
+        self._charges: Dict[EventType, _TypeCharges] = {}
+        if self._meter is not None:
+            self._memo = handler_memo(game)
+            self._profiles = self._memo.canonical(soc.profiles)
         #: Kill switch (Sec. VII-B): when False every event takes the
         #: baseline path; probes, hits, and online learning all stop.
         self.enabled = True
@@ -139,9 +175,7 @@ class SnipRuntime:
         from the selection yield the empty key, exactly as
         :meth:`repro.core.table.SnipTable.fields_for` would report.
         """
-        return tuple(
-            read(event) for read in self._probes.get(event.event_type, ())
-        )
+        return tuple([read(event) for read in self._probes.get(event.event_type, ())])
 
     def live_key_reference(self, event: Event) -> Tuple:
         """Uncompiled key gathering (golden reference for the tests).
@@ -164,10 +198,7 @@ class SnipRuntime:
                 return event.values.get(name)
         elif kind == "hist":
             def read(event: Event) -> object:
-                state = game.state
-                if state.has(name):
-                    return state.peek(name)
-                return None
+                return game.state.get(name)
         elif kind == "extern":
             def read(event: Event) -> object:
                 return game.extern_source.peek(name)[0]
@@ -190,7 +221,14 @@ class SnipRuntime:
     # -- probe cost ----------------------------------------------------------
 
     def _charge_probe(self, event: Event) -> int:
-        """Charge the table probe for one event; returns bytes compared."""
+        """Charge the table probe for one event; returns bytes compared.
+
+        On a columnar SoC this runs once per event type and its charges
+        and return value are replayed for every later probe of the type
+        (see :meth:`deliver`), so an override must keep both a function
+        of the event type. :meth:`_charge_hit` is recorded likewise, once
+        per event type and table entry.
+        """
         compare_bytes = self.table.comparison_bytes(event.event_type)
         cycles = (
             self.config.lookup_base_cycles
@@ -224,6 +262,8 @@ class SnipRuntime:
         """
         probes = self._probes
         event_only = self._event_only
+        if not event_only:
+            return [None] * len(events)
         keys: List[Optional[Tuple]] = []
         for event in events:
             event_type = event.event_type
@@ -245,10 +285,12 @@ class SnipRuntime:
         Unknown types keep ``None`` keys and entries.
 
         Semantics match a scalar ``live_key`` + ``lookup`` loop against
-        the table's *current* contents and the game's *current* state:
-        callers either restrict themselves to event-only selections or
-        hold state and table fixed across the batch (the hot-path
-        benchmark and the offline analyses do the latter).
+        the table's *current* contents and the game's *current* state,
+        so a caller must either restrict itself to event-only
+        selections or hold state and table fixed across the batch. No
+        session path calls it: the hot-path benchmark
+        (``benchmarks/bench_hotpath.py``) and the probe-batch tests do,
+        holding both fixed.
         """
         count = len(events)
         keys: List[Optional[Tuple]] = [None] * count
@@ -276,23 +318,119 @@ class SnipRuntime:
 
     # -- event loop -------------------------------------------------------------
 
-    def deliver(
-        self, event: Event, precomputed_key: Optional[Tuple] = None
-    ) -> Optional[ProcessingTrace]:
-        """Run one event; returns the trace, or ``None`` when snipped.
+    def deliver(self, event: Event, precomputed_key: Optional[Tuple] = None) -> None:
+        """Run one event: probe the table, then short-circuit or execute.
 
         ``precomputed_key`` must come from :meth:`session_keys` (only
         event-only types yield one); it replaces both the probe's live
         key gather and the online-learning re-read.
+
+        On a columnar SoC each event's charges are poured with one
+        :meth:`~repro.soc.energy.ColumnarMeter.extend` from patterns
+        cached per event type (delivery + upkeep + probe) and per table
+        entry (that, plus the hit's scan-out and write-back), each
+        recorded once through :meth:`_charge_probe` and
+        :meth:`_charge_hit`; a miss then runs through the handler memo
+        and pours its entry's work pattern. Those patterns are priced on
+        IDLE components, so, as :class:`~repro.games.handler_memo.MemoBaselineLoop`
+        does, this raises :class:`~repro.errors.SimulationError`,
+        charging nothing, when a component is not IDLE. A plain meter
+        takes every charge one by one (:meth:`_deliver_scalar`).
         """
-        if self._patterns is not None:
-            self._patterns.charge(event)
-            self.stats.executed_cycles += self.game.upkeep_cycles_for(
-                event.event_type
+        meter = self._meter
+        if meter is None:
+            self._deliver_scalar(event, precomputed_key)
+            return
+        if not self.soc.idle:
+            raise SimulationError(
+                "the SNIP runtime pours charges priced on IDLE components; "
+                "a component of this SoC is not IDLE"
             )
+        game = self.game
+        game.advance_engine(event)
+        event_type = event.event_type
+        charges = self._charges.get(event_type)
+        if charges is None:
+            charges = self._charges[event_type] = _TypeCharges(
+                delivery_upkeep_pattern(game, event, self.soc.profiles),
+                game.upkeep_cycles_for(event_type),
+                self.table.knows(event_type),
+            )
+        stats = self.stats
+        stats.executed_cycles += charges.upkeep_cycles
+        stats.events += 1
+        if not (self.enabled and charges.known):
+            meter.extend(*charges.delivery)
         else:
-            charge_delivery(self.soc, self.hub, self.manager, self.binder, event)
-            self.stats.executed_cycles += charge_upkeep(self.soc, self.game, event)
+            key = (
+                precomputed_key
+                if precomputed_key is not None
+                else self.live_key(event)
+            )
+            entry = self.table.lookup(event_type, key)
+            if entry is None:
+                self._pour_probe(event, charges)
+            else:
+                cached = charges.hits.get(id(entry))
+                if cached is None:
+                    start = meter.record_count
+                    self._pour_probe(event, charges)
+                    self._charge_hit(event, entry)
+                    charges.hits[id(entry)] = (entry, meter.records_since(start))
+                else:
+                    meter.extend(*cached[1])
+            stats.compared_bytes += charges.compare_bytes
+            if entry is not None:
+                # Hit: substitute the stored outputs, skip all processing.
+                game.apply_outputs(entry.writes)
+                stats.hits += 1
+                stats.avoided_cycles += entry.avg_cycles
+                return
+        memo = self._memo
+        memo_key, handled = memo.lookup(game, event)
+        if handled is None:
+            handled = memo.record(memo_key, game.process(event))
+        elif handled.writes:
+            game.apply_outputs(handled.writes)
+        if handled.pattern_profiles is self._profiles:
+            meter.extend(*handled.pattern)
+        else:
+            start = meter.record_count
+            charge_work(self.soc, handled.work)
+            handled.pattern_profiles = self._profiles
+            handled.pattern = meter.records_since(start)
+        stats.misses += 1
+        stats.executed_cycles += handled.total_cycles
+        if self.enabled and self.config.online_warmup > 0 and charges.known:
+            self._learn_online(
+                event, handled.signature, handled.writes, handled.total_cycles,
+                key=precomputed_key,
+            )
+
+    def _pour_probe(self, event: Event, charges: _TypeCharges) -> None:
+        """Pour the type's delivery + upkeep + probe pattern.
+
+        The first time, pours the delivery pattern, charges the probe
+        through :meth:`_charge_probe` and keeps the two as the pattern.
+        """
+        meter = self._meter
+        if charges.probe is not None:
+            meter.extend(*charges.probe)
+            return
+        start = meter.record_count
+        meter.extend(*charges.delivery)
+        charges.compare_bytes = self._charge_probe(event)
+        charges.probe = meter.records_since(start)
+
+    def _deliver_scalar(self, event: Event, precomputed_key: Optional[Tuple]) -> None:
+        """:meth:`deliver` on a plain meter, charge by charge.
+
+        The scalar oracle of the poured path: every stage charges the
+        SoC as it happens, and a miss runs the handler and prices its
+        trace.
+        """
+        charge_delivery(self.soc, self.hub, self.manager, self.binder, event)
+        self.stats.executed_cycles += charge_upkeep(self.soc, self.game, event)
         self.stats.events += 1
         if self.enabled and self.table.knows(event.event_type):
             self.stats.compared_bytes += self._charge_probe(event)
@@ -308,7 +446,7 @@ class SnipRuntime:
                 self.game.apply_outputs(entry.writes)
                 self.stats.hits += 1
                 self.stats.avoided_cycles += entry.avg_cycles
-                return None
+                return
         trace = self.game.process(event)
         charge_trace(self.soc, trace)
         self.stats.misses += 1
@@ -318,13 +456,17 @@ class SnipRuntime:
             and self.config.online_warmup > 0
             and self.table.knows(event.event_type)
         ):
-            self._learn_online(event, trace, key=precomputed_key)
-        return trace
+            self._learn_online(
+                event, trace.output_signature(), tuple(trace.writes),
+                trace.total_cycles, key=precomputed_key,
+            )
 
     def _learn_online(
         self,
         event: Event,
-        trace: ProcessingTrace,
+        signature: Tuple,
+        writes: Tuple[FieldWrite, ...],
+        cycles: int,
         key: Optional[Tuple] = None,
     ) -> None:
         """Continuous learning, Option 2 at its finest granularity.
@@ -333,31 +475,33 @@ class SnipRuntime:
         key whose outputs agree ``config.online_warmup`` times in a row
         is promoted to a live table entry. The necessary inputs (what
         to key on) still come from the cloud's PFI — this loop only
-        fills values the shipped profile had not seen.
+        fills values the shipped profile had not seen. ``signature``,
+        ``writes`` and ``cycles`` describe the handler run that missed.
 
         ``key`` short-circuits the live re-read when the caller already
-        holds this event's (state-independent) precomputed key.
+        holds this event's (state-independent) precomputed key. The
+        re-read runs after the handler, so a history-keyed selection
+        learns under the post-handler state while it probes under the
+        pre-handler state: a known defect, kept until it is fixed on
+        purpose, since the fix changes every report that learns online.
         """
         if key is None:
             key = self.live_key(event)
-        signature = trace.output_signature()
         slot = (event.event_type, key)
         entry = self._online.get(slot)
         if entry is None or entry.signature != signature:
             self._online[slot] = _OnlineEntry(
                 signature=signature,
-                writes=tuple(trace.writes),
+                writes=writes,
                 consecutive=1,
-                cycles_sum=float(trace.total_cycles),
+                cycles_sum=float(cycles),
                 occurrences=1,
             )
             return
         entry.consecutive += 1
         entry.occurrences += 1
-        entry.cycles_sum += trace.total_cycles
+        entry.cycles_sum += cycles
         if entry.consecutive >= self.config.online_warmup:
-            from repro.core.table import TableEntry
-
             capacity = self.config.table_capacity_entries
             if capacity and self.table.entry_count >= capacity:
                 # The device table is full: make room by evicting the

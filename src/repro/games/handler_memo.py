@@ -8,14 +8,15 @@ therefore captures every input a handler can observe: two runs with
 equal keys produce identical traces and identical mutations — the same
 property SNIP exploits on the device (paper Sec. III).
 
-Two kinds of pass look each event up here right after the engine tick:
-the baseline sessions (:class:`MemoBaselineLoop`: the fleet's baseline
-pass, and :func:`~repro.users.sessions.run_baseline_session` behind
-Figs. 2-4 and the registry's eval baseline), and the federated fold
-(:meth:`~repro.core.federated.ContributionBuilder.add_session_events`).
-A hit replays the recorded writes with :meth:`Game.apply_outputs`
-instead of running the handler; only novel (state, event) pairs pay
-for it. The fold follows the baseline pass over the same session, so
+Three kinds of pass look each event up here right after the engine
+tick: the baseline sessions (:class:`MemoBaselineLoop`: the fleet's
+baseline pass, and :func:`~repro.users.sessions.run_baseline_session`
+behind Figs. 2-4 and the registry's eval baseline), the federated fold
+(:meth:`~repro.core.federated.ContributionBuilder.add_session_events`),
+and the misses of :class:`~repro.core.runtime.SnipRuntime` on a
+columnar SoC. A hit replays the recorded writes with
+:meth:`Game.apply_outputs` instead of running the handler; only novel
+(state, event) pairs pay for it. The fold follows the baseline pass over the same session, so
 it finds an entry for every event the baseline pass could key.
 """
 
