@@ -30,14 +30,12 @@ from repro.analysis.experiments import EXPERIMENTS, run_experiment
 from repro.core.config import SnipConfig
 from repro.core.devreport import build_developer_report
 from repro.core.profiler import CloudProfiler
-from repro.core.runtime import SnipRuntime
 from repro.core.serialization import dump_table, load_table
-from repro.games.registry import GAME_CONTENT_SEED, GAME_NAMES, GAMES, create_game
+from repro.games.registry import GAME_NAMES, GAMES
+from repro.schemes import SnipScheme, run_scheme_session
 from repro.soc.component import ComponentGroup
-from repro.soc.soc import snapdragon_821
 from repro.units import format_bytes
 from repro.users.sessions import run_baseline_session
-from repro.users.tracegen import generate_trace
 
 
 def _parse_seeds(raw: str) -> List[int]:
@@ -321,24 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run only these rule ids (default: all registered rules)",
     )
     lint.add_argument(
-        "--baseline", default=None, metavar="FILE",
-        help="accepted-findings file; findings it covers do not fail the run",
-    )
-    lint.add_argument(
-        "--write-baseline", default=None, metavar="FILE",
-        help="write the run's findings as a new baseline and exit 0",
-    )
-    lint.add_argument(
-        "--prune", action="store_true",
-        help="with --baseline: rewrite the baseline file keeping only "
-        "the entries findings still consume",
-    )
-    lint.add_argument(
-        "--cache", default=None, metavar="FILE",
-        help="incremental-analysis cache file; unchanged files replay "
-        "their cached outcome instead of re-analysing",
-    )
-    lint.add_argument(
         "--list-rules", action="store_true",
         help="print the registered rule ids and exit",
     )
@@ -372,32 +352,25 @@ def _cmd_session(args, out) -> int:
 
 
 def _cmd_snip(args, out) -> int:
-    config = SnipConfig()
-    profiler = CloudProfiler(config, cache=_cache_mode(args))
-    package = profiler.build_package_from_sessions(
-        args.game, seeds=args.profile_seeds, duration_s=args.profile_duration
+    scheme = SnipScheme(
+        profile_seeds=args.profile_seeds,
+        profile_duration_s=args.profile_duration,
+        cache=_cache_mode(args),
     )
+    package = scheme.prepare(args.game)
     print(f"table: {package.table.entry_count} entries, "
           f"{format_bytes(package.table_bytes)} "
           f"({package.shrink_factor:.0f}x below naive)", file=out)
-    soc = snapdragon_821()
-    runtime = SnipRuntime(
-        soc, create_game(args.game, seed=GAME_CONTENT_SEED), package.table, config
+    run = run_scheme_session(
+        scheme, args.game, seed=args.eval_seed, duration_s=args.eval_duration
     )
-    clock = 0.0
-    for event in generate_trace(args.game, args.eval_seed, args.eval_duration).events:
-        if event.timestamp > clock:
-            soc.advance_time(event.timestamp - clock)
-            clock = event.timestamp
-        runtime.deliver(event)
-    soc.advance_time(max(0.0, args.eval_duration - clock))
     baseline = run_baseline_session(
         args.game, seed=args.eval_seed, duration_s=args.eval_duration
     )
-    savings = 1 - soc.meter.total_joules / baseline.report.total_joules
+    savings = 1 - run.report.total_joules / baseline.report.total_joules
     print(f"savings:  {savings:.1%}", file=out)
-    print(f"coverage: {runtime.stats.coverage:.1%}", file=out)
-    print(f"hit rate: {runtime.stats.hit_rate:.1%}", file=out)
+    print(f"coverage: {run.coverage:.1%}", file=out)
+    print(f"hit rate: {run.hit_rate:.1%}", file=out)
     return 0
 
 
@@ -619,36 +592,17 @@ def _cmd_lint(args, out) -> int:
     if args.rules:
         rule_ids = [chunk.strip() for chunk in args.rules.split(",")
                     if chunk.strip()]
-    if args.prune and not args.baseline:
-        print("lint error: --prune requires --baseline", file=sys.stderr)
-        return 2
     try:
-        baseline = lint.load_baseline(args.baseline) if args.baseline else None
-        cache = lint.AnalysisCache(args.cache) if args.cache else None
-        result = lint.lint_paths(
-            paths, rule_ids=rule_ids, baseline=baseline, cache=cache
-        )
+        result = lint.lint_paths(paths, rule_ids=rule_ids)
     except LintError as exc:
         print(f"lint error: {exc}", file=sys.stderr)
         return 2
-    if args.write_baseline:
-        written = lint.write_baseline(args.write_baseline, result)
-        print(f"wrote {args.write_baseline}: {written} accepted finding keys",
-              file=out)
-        return 0
-    # Hygiene drift goes to stderr: visible in CI logs, invisible to
-    # anything parsing the report on stdout.
-    for key in result.stale_baseline:
-        print(f"lint: stale baseline entry: {key}", file=sys.stderr)
+    # Unused suppressions go to stderr: visible in CI logs, invisible
+    # to anything parsing the report on stdout.
     for s_path, s_line, s_rule in result.unused_suppressions:
         where = f"{s_path}:{s_line}" if s_line is not None else s_path
         print(f"lint: unused suppression: {where} [{s_rule}]",
               file=sys.stderr)
-    if args.prune:
-        kept = lint.write_pruned_baseline(args.baseline, result)
-        dropped = len(result.stale_baseline)
-        print(f"pruned {args.baseline}: kept {kept} keys, "
-              f"dropped {dropped} stale", file=out)
     renderers = {
         "json": lint.render_json,
         "sarif": lint.render_sarif,

@@ -242,11 +242,15 @@ class SnipRuntime:
     def _charge_hit(self, event: Event, entry: TableEntry) -> None:
         """Charge what a hit still costs: a frame event's scan-out, and
         the entry's outputs crossing memory into the game state."""
-        if event.event_type in _SCANOUT_TYPES:
-            self.soc.charge_invocation(IP_DISPLAY, 1.0, bytes_in=512 * 1024)
+        self._charge_scanout(event)
         applied_bytes = sum(write.nbytes for write in entry.writes)
         if applied_bytes:
             self.soc.charge_transfer(applied_bytes, tag=TAG_LOOKUP)
+
+    def _charge_scanout(self, event: Event) -> None:
+        """A frame or camera event still reaches the display on a hit."""
+        if event.event_type in _SCANOUT_TYPES:
+            self.soc.charge_invocation(IP_DISPLAY, 1.0, bytes_in=512 * 1024)
 
     # -- batched probing ----------------------------------------------------
 

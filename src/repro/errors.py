@@ -93,10 +93,6 @@ class LintError(ReproError):
     """The static-analysis pass was misconfigured or hit unreadable input."""
 
 
-class BaselineError(LintError):
-    """A lint baseline file is missing, corrupt, or the wrong version."""
-
-
 class CacheError(ProfilerError):
     """The on-disk package cache is misconfigured or unusable."""
 

@@ -29,22 +29,17 @@ from repro.lint import rules_pickling  # noqa: F401  (registers rules)
 from repro.lint import rules_units  # noqa: F401  (registers rules)
 from repro.lint import rules_concurrency  # noqa: F401  (registers rules)
 from repro.lint import taint  # noqa: F401  (registers rules)
-from repro.lint.cache import AnalysisCache
 from repro.lint.callgraph import ProjectGraph, ProjectIndex, project_graph
 from repro.lint.reporting import render_json, render_sarif, render_text
 from repro.lint.runner import (
     LintResult,
     collect_files,
     lint_paths,
-    load_baseline,
     select_rules,
-    write_baseline,
-    write_pruned_baseline,
 )
 
 __all__ = [
     "ALL_RULES",
-    "AnalysisCache",
     "FileContext",
     "Finding",
     "LintConfig",
@@ -57,13 +52,10 @@ __all__ = [
     "collect_files",
     "iter_rule_ids",
     "lint_paths",
-    "load_baseline",
     "project_graph",
     "register_rule",
     "render_json",
     "render_sarif",
     "render_text",
     "select_rules",
-    "write_baseline",
-    "write_pruned_baseline",
 ]

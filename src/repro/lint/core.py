@@ -6,7 +6,7 @@ to break silently: one ``time.time()`` in an aggregation path or one
 iteration over an unsorted ``set`` survives every test that happens not
 to exercise it.  This module supplies the machinery the rules share:
 
-* :class:`Finding` — one diagnostic, with a stable baseline key;
+* :class:`Finding` — one diagnostic;
 * :class:`Rule` — the per-file / whole-project rule interface plus the
   ``@register_rule`` registry;
 * :class:`FileContext` — a parsed source file (AST, lines, import map,
@@ -55,15 +55,6 @@ class Finding:
     def location(self) -> str:
         """Clickable ``file:line`` form used by the text reporter."""
         return f"{self.path}:{self.line}"
-
-    @property
-    def baseline_key(self) -> str:
-        """Line-number-free identity used by ``--baseline`` files.
-
-        Keyed on ``(path, rule, message)`` rather than the line number so
-        unrelated edits above a baselined finding do not un-baseline it.
-        """
-        return f"{self.path}::{self.rule_id}::{self.message}"
 
     def sort_key(self) -> Tuple[str, int, int, str]:
         """Canonical report order: path, then position, then rule."""
@@ -279,7 +270,6 @@ class LintConfig:
     #: into the aggregate report — the reduction sinks.
     taint_sink_methods: Tuple[str, ...] = (
         "repro/fleet/reducers.py::Accumulator.update",
-        "repro/fleet/reducers.py::Accumulator.merge",
         "repro/fleet/reducers.py::Accumulator.finalize",
     )
     #: Entry points executed inside worker processes; everything they

@@ -14,9 +14,8 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List
 
-from repro.lint.cache import SuppressionEntry
 from repro.lint.core import RULE_REGISTRY
-from repro.lint.runner import PARSE_ERROR_RULE, LintResult
+from repro.lint.runner import PARSE_ERROR_RULE, LintResult, SuppressionEntry
 
 
 def _entry_text(entry: SuppressionEntry) -> str:
@@ -28,9 +27,8 @@ def _entry_text(entry: SuppressionEntry) -> str:
 def render_text(result: LintResult) -> str:
     """Human-readable report, one line per finding plus a summary.
 
-    Hygiene drift — stale baseline entries and suppression comments
-    that silenced nothing — renders above the summary, so a "clean"
-    run with rotting exemptions still says so.
+    Suppression comments that silenced nothing render above the
+    summary, so a "clean" run with rotting exemptions still says so.
     """
     lines: List[str] = []
     for finding in result.findings:
@@ -38,20 +36,15 @@ def render_text(result: LintResult) -> str:
             f"{finding.path}:{finding.line}:{finding.column + 1}: "
             f"{finding.rule_id}: {finding.message}"
         )
-    for key in result.stale_baseline:
-        lines.append(f"stale baseline entry (finding no longer exists): {key}")
     for entry in result.unused_suppressions:
         lines.append(
             f"unused suppression (silences nothing): {_entry_text(entry)}"
         )
     noun = "finding" if len(result.findings) == 1 else "findings"
-    summary = (
+    lines.append(
         f"{len(result.findings)} {noun} "
-        f"({result.files_checked} files, {result.suppressed} suppressed"
+        f"({result.files_checked} files, {result.suppressed} suppressed)"
     )
-    if result.baselined:
-        summary += f", {result.baselined} baselined"
-    lines.append(summary + ")")
     return "\n".join(lines)
 
 
@@ -59,15 +52,13 @@ def render_json(result: LintResult) -> str:
     """CI-facing JSON document; schema documented in docs/LINTING.md.
 
     Each finding object carries exactly ``rule/path/line/column/
-    message`` (columns 1-based); hygiene drift is reported at the
-    document level so finding consumers never see surprise keys.
+    message`` (columns 1-based); unused suppressions are reported at
+    the document level so finding consumers never see surprise keys.
     """
     payload = {
         "version": 1,
         "files_checked": result.files_checked,
         "suppressed": result.suppressed,
-        "baselined": result.baselined,
-        "stale_baseline": list(result.stale_baseline),
         "unused_suppressions": [
             {"path": path, "line": line, "rule": rule}
             for path, line, rule in result.unused_suppressions

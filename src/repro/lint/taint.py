@@ -24,7 +24,7 @@ Findings anchor at the **source** site (that is where the fix goes and
 where a ``# lint: ignore[det-taint-*]`` must sit), and the message
 carries the full sink-to-source call chain so the reader does not have
 to rediscover why a deep helper matters.  Messages are line-free, so
-baseline keys survive unrelated edits.
+an edit elsewhere in a file does not change them.
 
 Dead code is exonerated structurally: a source in a function no sink
 reaches is simply never visited.  That asymmetry — sources are cheap

@@ -12,6 +12,7 @@ from typing import Optional, Sequence
 from repro.android.events import Event
 from repro.core.config import SnipConfig
 from repro.core.runtime import SnipRuntime
+from repro.core.table import TableEntry
 from repro.schemes.snip_scheme import (
     DEFAULT_PROFILE_DURATION_S,
     DEFAULT_PROFILE_SEEDS,
@@ -21,10 +22,14 @@ from repro.schemes.snip_scheme import (
 
 
 class _FreeLookupRuntime(SnipRuntime):
-    """SNIP runtime whose probes cost nothing."""
+    """SNIP runtime whose probes and entry loads cost nothing."""
 
     def _charge_probe(self, event: Event) -> int:
         return self.table.comparison_bytes(event.event_type)
+
+    def _charge_hit(self, event: Event, entry: TableEntry) -> None:
+        # The display still scans the frame out; the write-back is free.
+        self._charge_scanout(event)
 
 
 class NoOverheadsScheme(SnipScheme):

@@ -32,7 +32,7 @@ from repro.games.base import FieldWrite, OutputCategory
 from repro.games.registry import GAME_CONTENT_SEED, GAME_NAMES, create_game, fresh_game
 from repro.schemes.no_overheads import _FreeLookupRuntime
 from repro.soc.component import PowerState
-from repro.soc.energy import TAG_LOOKUP, ColumnarMeter
+from repro.soc.energy import TAG_EVENT, TAG_LOOKUP, ColumnarMeter
 from repro.soc.power_profiles import pixel_xl_profiles
 from repro.soc.soc import snapdragon_821
 from repro.users.tracegen import generate_trace
@@ -181,19 +181,25 @@ class TestHitPatternsFollowTheLiveEntry:
 
 class TestFreeLookup:
     def test_the_free_lookup_runtime_charges_nothing_under_lookup(self, cold_memos):
-        """Entries without writes: a hit pays no lookup-tagged
-        write-back, so every lookup charge would be the probe's."""
+        """Hits on an entry without writes and on one with writes: neither
+        the probe nor the write-back is charged, and the frame's scan-out
+        is."""
         events = generate_trace(GAME, 1, 4.0).events
-        reports = {}
         silent = TableEntry(writes=(), avg_cycles=1.0, profile_weight=1.0)
-        for runtime_cls in (SnipRuntime, _FreeLookupRuntime):
-            soc = snapdragon_821(meter=ColumnarMeter())
-            runtime = _frame_runtime(soc, silent, runtime_cls)
-            _play(runtime, events, 4.0)
-            assert runtime.stats.hits > 0
-            reports[runtime_cls] = soc.report()
-        assert reports[SnipRuntime].by_tag.get(TAG_LOOKUP, 0.0) > 0
-        assert TAG_LOOKUP not in reports[_FreeLookupRuntime].by_tag
+        for entry in (silent, _entry(64)):
+            reports = {}
+            for runtime_cls in (SnipRuntime, _FreeLookupRuntime):
+                soc = snapdragon_821(meter=ColumnarMeter())
+                runtime = _frame_runtime(soc, entry, runtime_cls)
+                _play(runtime, events, 4.0)
+                assert runtime.stats.hits > 0
+                reports[runtime_cls] = soc.report()
+            assert reports[SnipRuntime].by_tag.get(TAG_LOOKUP, 0.0) > 0
+            assert TAG_LOOKUP not in reports[_FreeLookupRuntime].by_tag
+            assert (
+                reports[_FreeLookupRuntime].by_tag[TAG_EVENT]
+                == reports[SnipRuntime].by_tag[TAG_EVENT]
+            )
 
 
 class _KeyLog(SnipRuntime):

@@ -1,4 +1,4 @@
-"""The ``repro-snip lint`` command: exit codes, formats, baselines."""
+"""The ``repro-snip lint`` command: exit codes, formats, rule selection."""
 
 from __future__ import annotations
 
@@ -63,19 +63,6 @@ def test_missing_path_exits_two(tmp_path):
     assert main(
         ["lint", str(tmp_path / "missing")], out=io.StringIO()
     ) == 2
-
-
-def test_write_then_use_baseline(tmp_path):
-    target = _write(tmp_path, "dirty.py", DIRTY)
-    baseline = str(tmp_path / "baseline.json")
-    out = io.StringIO()
-    assert main(["lint", target, "--write-baseline", baseline], out=out) == 0
-    assert "1 accepted finding keys" in out.getvalue()
-    assert main(["lint", target, "--baseline", baseline], out=io.StringIO()) == 0
-    # The baseline only covers what it recorded: a clean slate baseline
-    # on a different file does not absorb this file's findings.
-    other = _write(tmp_path, "other.py", DIRTY)
-    assert main(["lint", other, "--baseline", baseline], out=io.StringIO()) == 1
 
 
 def test_list_rules_names_every_pack(tmp_path):

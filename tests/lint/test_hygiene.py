@@ -1,9 +1,7 @@
-"""Baseline drift, ``--prune`` rewrites, and unused suppressions.
+"""Unused suppressions.
 
-Exemptions rot: a baselined finding gets fixed but its allowance
-stays, or a ``lint: ignore`` comment outlives the diagnostic it
-silenced.  These tests pin the reporting of both kinds of drift and
-the ``--prune`` rewrite that clears the first kind.
+Exemptions rot: a ``lint: ignore`` comment outlives the diagnostic it
+silenced.  These tests pin how that drift is reported.
 """
 
 from __future__ import annotations
@@ -13,94 +11,13 @@ import json
 import textwrap
 
 from repro.cli import main
-from repro.lint import (
-    lint_paths,
-    load_baseline,
-    render_json,
-    render_text,
-    write_baseline,
-    write_pruned_baseline,
-)
-
-DIRTY = """
-    import time
-
-    def stamp():
-        return time.time()
-"""
-
-CLEAN = "x = 1\n"
+from repro.lint import lint_paths, render_json, render_text
 
 
 def _write(tmp_path, name, source):
     path = tmp_path / name
     path.write_text(textwrap.dedent(source), encoding="utf-8")
     return path
-
-
-# -- stale baseline detection ----------------------------------------------
-
-
-def test_fixing_a_baselined_finding_marks_the_entry_stale(tmp_path):
-    target = _write(tmp_path, "mod.py", DIRTY)
-    baseline_path = str(tmp_path / "baseline.json")
-    first = lint_paths([str(target)])
-    write_baseline(baseline_path, first)
-    target.write_text(CLEAN, encoding="utf-8")
-    second = lint_paths(
-        [str(target)], baseline=load_baseline(baseline_path)
-    )
-    assert second.findings == []
-    assert second.baselined == 0
-    assert len(second.stale_baseline) == 1
-    assert "det-wallclock" in second.stale_baseline[0]
-
-
-def test_consumed_entries_are_not_stale(tmp_path):
-    target = _write(tmp_path, "mod.py", DIRTY)
-    baseline_path = str(tmp_path / "baseline.json")
-    write_baseline(baseline_path, lint_paths([str(target)]))
-    again = lint_paths([str(target)], baseline=load_baseline(baseline_path))
-    assert again.findings == []
-    assert again.baselined == 1
-    assert again.stale_baseline == []
-    assert sum(again.baseline_consumed.values()) == 1
-
-
-def test_stale_entries_render_in_text_and_json(tmp_path):
-    target = _write(tmp_path, "mod.py", DIRTY)
-    baseline_path = str(tmp_path / "baseline.json")
-    write_baseline(baseline_path, lint_paths([str(target)]))
-    target.write_text(CLEAN, encoding="utf-8")
-    result = lint_paths([str(target)], baseline=load_baseline(baseline_path))
-    text = render_text(result)
-    assert "stale baseline entry (finding no longer exists):" in text
-    # Drift lines sit above the summary, which stays the last line.
-    assert text.splitlines()[-1] == "0 findings (1 files, 0 suppressed)"
-    document = json.loads(render_json(result))
-    assert document["stale_baseline"] == result.stale_baseline
-
-
-def test_prune_rewrite_keeps_only_consumed_entries(tmp_path):
-    dirty = _write(tmp_path, "dirty.py", DIRTY)
-    fixed = _write(tmp_path, "fixed.py", DIRTY)
-    baseline_path = str(tmp_path / "baseline.json")
-    write_baseline(baseline_path, lint_paths([str(tmp_path)]))
-    fixed.write_text(CLEAN, encoding="utf-8")
-    result = lint_paths(
-        [str(tmp_path)], baseline=load_baseline(baseline_path)
-    )
-    kept = write_pruned_baseline(baseline_path, result)
-    assert kept == 1
-    pruned = load_baseline(baseline_path)
-    assert len(pruned) == 1
-    (key,) = pruned
-    assert "dirty.py" in key
-    assert pruned[key] == 1
-    # The pruned baseline still absorbs the remaining finding.
-    final = lint_paths([str(dirty)], baseline=pruned)
-    assert final.findings == []
-    assert final.stale_baseline == []
 
 
 # -- unused suppressions ---------------------------------------------------
@@ -172,30 +89,6 @@ def test_unused_accounting_is_skipped_under_a_partial_rule_pack(tmp_path):
 
 
 # -- CLI surface -----------------------------------------------------------
-
-
-def test_cli_prune_requires_baseline(tmp_path):
-    target = str(_write(tmp_path, "mod.py", CLEAN))
-    assert main(["lint", target, "--prune"], out=io.StringIO()) == 2
-
-
-def test_cli_prune_rewrites_and_reports(tmp_path, capsys):
-    target = _write(tmp_path, "mod.py", DIRTY)
-    baseline_path = str(tmp_path / "baseline.json")
-    out = io.StringIO()
-    assert main(
-        ["lint", str(target), "--write-baseline", baseline_path], out=out
-    ) == 0
-    target.write_text(CLEAN, encoding="utf-8")
-    out = io.StringIO()
-    code = main(
-        ["lint", str(target), "--baseline", baseline_path, "--prune"],
-        out=out,
-    )
-    assert code == 0
-    assert "kept 0 keys, dropped 1 stale" in out.getvalue()
-    assert "stale baseline entry" in capsys.readouterr().err
-    assert load_baseline(baseline_path) == {}
 
 
 def test_cli_reports_unused_suppressions_on_stderr(tmp_path, capsys):

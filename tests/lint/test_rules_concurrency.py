@@ -210,12 +210,12 @@ def test_accumulation_over_os_listing_in_fold_helper_is_flagged(lint_tree):
                 from fleet.disk import sum_sizes
 
                 class Accumulator:
-                    def merge(self, other):
+                    def update(self, shard):
                         pass
 
                 class SizeAccumulator(Accumulator):
-                    def merge(self, other):
-                        self.bytes = sum_sizes(other.root)
+                    def update(self, shard):
+                        self.bytes = sum_sizes(shard.root)
             """,
             "fleet/disk.py": """
                 import os

@@ -16,7 +16,6 @@ from repro import storage
 from repro.core.selection import SelectedInputs
 from repro.core.serialization import dump_table
 from repro.core.table import SnipTable
-from repro.lint.runner import LintResult, write_baseline, write_pruned_baseline
 from repro.storage import atomic_write
 
 
@@ -72,8 +71,6 @@ class _HalfWriter:
 
 WRITERS = {
     "ota-table": lambda path: dump_table(SnipTable(SelectedInputs()), path),
-    "lint-baseline": lambda path: write_baseline(path, LintResult()),
-    "pruned-lint-baseline": lambda path: write_pruned_baseline(path, LintResult()),
 }
 
 
