@@ -83,7 +83,7 @@ def _worker(devices: int) -> int:
     from repro.fleet import FleetEngine, TelemetryBus, peak_rss_bytes
 
     spec = _build_spec(devices)
-    telemetry = TelemetryBus(history_limit=64)
+    telemetry = TelemetryBus()
     engine = FleetEngine(
         spec,
         telemetry=telemetry,

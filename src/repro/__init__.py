@@ -34,7 +34,6 @@ Quickstart::
 from repro.analysis import EXPERIMENTS, run_experiment
 from repro.core import (
     CloudProfiler,
-    ContinuousLearner,
     DeveloperOverrides,
     SnipConfig,
     SnipPackage,
@@ -64,7 +63,6 @@ __version__ = "1.0.0"
 __all__ = [
     "BaselineScheme",
     "CloudProfiler",
-    "ContinuousLearner",
     "DeveloperOverrides",
     "EXPERIMENTS",
     "GAME_CONTENT_SEED",

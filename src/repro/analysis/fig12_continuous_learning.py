@@ -16,6 +16,7 @@ the figure's output.
 
 from __future__ import annotations
 
+import contextlib
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,13 +24,12 @@ from typing import List, Optional, Tuple
 
 from repro.analysis.report import pct, render_table
 from repro.core.config import SnipConfig
-from repro.core.learning import ContinuousLearner, EpochResult
+from repro.core.learning import EpochResult, check_ramp, run_epoch
 from repro.core.profiler import SnipPackage
-from repro.fleet.executors import FleetExecutor
+from repro.fleet.executors import FleetExecutor, SerialExecutor
 from repro.registry.metrics import metrics_from_epoch
 from repro.registry.promotion import PromotionPolicy
 from repro.registry.store import PackageRegistry
-from repro.service.shipping import ship_cycle
 
 
 @dataclass(frozen=True)
@@ -111,7 +111,8 @@ class Fig12Result:
 
 @dataclass(frozen=True)
 class EpochTask:
-    """One epoch's evaluation, shipped to a fleet worker."""
+    """One epoch's :func:`~repro.core.learning.run_epoch` arguments,
+    shipped to a fleet worker."""
 
     game_name: str
     epoch: int
@@ -123,69 +124,49 @@ class EpochTask:
     seed: int
 
 
-@dataclass(frozen=True)
-class EpochOutcome:
-    """What an epoch worker sends back: the numbers and the table."""
-
-    result: EpochResult
-    package: SnipPackage
-
-
-def _epoch_task(task: EpochTask) -> EpochOutcome:
-    """Evaluate one learning epoch in isolation (picklable task).
-
-    Every epoch's training corpus is a pure function of ``(seed,
-    epoch)`` — :meth:`ContinuousLearner._epoch_seeds` — so a worker can
-    rebuild the sessions of all earlier epochs locally and evaluate its
-    epoch with no state from the serial loop. The per-epoch results are
-    bit-identical to running the loop sequentially.
-    """
-    learner = ContinuousLearner(
-        task.game_name,
-        config=task.config,
-        session_duration_s=task.session_duration_s,
-        initial_events=task.initial_events,
-        ramp=task.ramp,
-        ungated_epochs=task.ungated_epochs,
-        seed=task.seed,
-    )
-    for earlier in range(task.epoch):
-        learner.ingest_session(earlier)
-    result = learner.run_epoch(task.epoch)
-    return EpochOutcome(result=result, package=learner.packages[-1])
+def _epoch_task(task: EpochTask) -> Tuple[EpochResult, SnipPackage]:
+    """Evaluate one learning epoch (picklable task for the executor)."""
+    return run_epoch(**vars(task))
 
 
 def _publish_cycles(
     registry: PackageRegistry,
     game_name: str,
     config: SnipConfig,
-    results: List[EpochResult],
-    packages: List[SnipPackage],
+    outcomes: List[Tuple[EpochResult, SnipPackage]],
     policy: PromotionPolicy,
 ) -> List[CycleDecision]:
-    """Run every cycle's table through the service shipping pass.
+    """Publish every cycle's table, then run it through gated promotion.
 
-    Delegates to :func:`repro.service.shipping.ship_cycle`: publish,
-    then gated promotion unless the digest deduplicated to a version
-    the registry already holds (the ``serve`` daemon, which promotes
-    through the registry directly, re-judges such a version when it is
-    not the champion).
+    A digest the registry already holds is not judged again: nothing
+    new can ship, and re-promoting the deduplicated entry would churn
+    its recorded decision (the ``serve`` daemon does re-judge such a
+    version when it is not the champion). Both branches are idempotent,
+    so re-running fig12 against the same registry yields the same
+    decisions and byte-identical registry state.
     """
     decisions = []
-    for result, package in zip(results, packages):
+    for result, package in outcomes:
         metrics = metrics_from_epoch(
             package, result.hit_fraction, result.error_fraction
         )
-        shipped = ship_cycle(
-            registry, game_name, config, package, metrics, policy,
-            source="fig12",
+        entry, created = registry.publish(
+            game_name, config, package, metrics, source="fig12"
         )
+        if created:
+            verdict = registry.promote(
+                game_name, config, version=entry.version, policy=policy
+            )
+            shipped, reasons = verdict.promoted, verdict.reasons
+        else:
+            shipped = False
+            reasons = (f"identical to registered version {entry.version}",)
         decisions.append(
             CycleDecision(
                 epoch=result.epoch,
-                version=shipped.version,
-                shipped=shipped.shipped,
-                reasons=shipped.reasons,
+                version=entry.version,
+                shipped=shipped,
+                reasons=reasons,
             )
         )
     return decisions
@@ -210,18 +191,19 @@ def run_fig12(
     initial profile: early tables ship without the confidence gate and
     misfire heavily until real profile volume accumulates.
 
-    With an ``executor``, the epochs are evaluated in parallel workers
-    (each regenerating the earlier epochs' sessions from seeds) and the
-    trajectory is reassembled in epoch order — same numbers, shorter
-    wall clock.
+    Every epoch is one :func:`~repro.core.learning.run_epoch` call on
+    the executor (serial by default); each regenerates the earlier
+    epochs' sessions from seeds, so the trajectory is the same
+    whichever executor runs it.
 
-    Every cycle's table goes through the registry's publish -> promote
-    pass (an ephemeral registry when none is supplied), and the
-    per-cycle verdicts land in :attr:`Fig12Result.decisions`. Because
-    the epoch results and the publish order are both deterministic, a
-    supplied registry ends up byte-identical however the epochs were
-    scheduled.
+    Every cycle's table then goes through the registry's publish ->
+    promote pass in epoch order (an ephemeral registry when none is
+    supplied), and the per-cycle verdicts land in
+    :attr:`Fig12Result.decisions`. A supplied registry therefore ends
+    up byte-identical however many workers ran the epochs.
     """
+    check_ramp(initial_events, ramp)  # before any worker starts
+    executor = executor or SerialExecutor()
     tasks = [
         EpochTask(
             game_name=game_name,
@@ -235,36 +217,22 @@ def run_fig12(
         )
         for epoch in range(epochs)
     ]
-    if executor is not None and executor.jobs > 1:
-        outcomes = executor.run(_epoch_task, tasks)
-        results = [outcome.result for outcome in outcomes]
-        packages = [outcome.package for outcome in outcomes]
-    else:
-        learner = ContinuousLearner(
-            game_name,
-            config=config,
-            session_duration_s=session_duration_s,
-            initial_events=initial_events,
-            ramp=ramp,
-            ungated_epochs=ungated_epochs,
-            seed=seed,
-        )
-        results = learner.run(epochs)
-        packages = list(learner.packages)
-    registry_config = config or SnipConfig()
-    policy = policy or PromotionPolicy()
-    if registry is None:
-        with tempfile.TemporaryDirectory(prefix="fig12-registry-") as scratch:
-            decisions = _publish_cycles(
-                PackageRegistry(Path(scratch)),
-                game_name,
-                registry_config,
-                results,
-                packages,
-                policy,
+    outcomes = executor.run(_epoch_task, tasks)
+    with contextlib.ExitStack() as stack:
+        if registry is None:
+            scratch = stack.enter_context(
+                tempfile.TemporaryDirectory(prefix="fig12-registry-")
             )
-    else:
+            registry = PackageRegistry(Path(scratch))
         decisions = _publish_cycles(
-            registry, game_name, registry_config, results, packages, policy
+            registry,
+            game_name,
+            config or SnipConfig(),
+            outcomes,
+            policy or PromotionPolicy(),
         )
-    return Fig12Result(game_name=game_name, epochs=results, decisions=decisions)
+    return Fig12Result(
+        game_name=game_name,
+        epochs=[result for result, _ in outcomes],
+        decisions=decisions,
+    )

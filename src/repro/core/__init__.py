@@ -23,7 +23,7 @@ from repro.core.fields import (
     record_inputs,
     records_by_event_type,
 )
-from repro.core.learning import ContinuousLearner, EpochResult
+from repro.core.learning import EpochResult, run_epoch
 from repro.core.overrides import DeveloperOverrides
 from repro.core.package_cache import (
     CacheStats,
@@ -52,7 +52,6 @@ from repro.core.table import SnipTable
 __all__ = [
     "CacheStats",
     "CloudProfiler",
-    "ContinuousLearner",
     "DeveloperReport",
     "DeviceContribution",
     "FederatedAggregator",
@@ -82,6 +81,7 @@ __all__ = [
     "package_digest",
     "record_inputs",
     "records_by_event_type",
+    "run_epoch",
     "run_pfi",
     "select_necessary_inputs",
     "trimming_curve",

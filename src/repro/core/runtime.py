@@ -108,6 +108,43 @@ class RuntimeStats:
         return self.avoided_cycles / total if total else 0.0
 
 
+def _field_reader(info: FieldInfo, game: Game) -> Callable[[Event], object]:
+    """Resolve one necessary input's kind into a direct reader."""
+    kind, _, name = info.name.partition(":")
+    if kind == "event":
+        def read(event: Event) -> object:
+            return event.values.get(name)
+    elif kind == "hist":
+        def read(event: Event) -> object:
+            return game.state.get(name)
+    elif kind == "extern":
+        def read(event: Event) -> object:
+            return game.extern_source.peek(name)[0]
+    else:
+        raise ValueError(f"unknown field kind in {info.name!r}")
+    return read
+
+
+def key_readers(
+    table: SnipTable, game: Game
+) -> Dict[EventType, Tuple[Callable[[Event], object], ...]]:
+    """Per-event-type readers of a table's necessary inputs on ``game``.
+
+    The ``event:``/``hist:``/``extern:`` kind of every selected field is
+    resolved once here, so reading a key does no string parsing and no
+    selection lookup: an event's key is ``tuple(read(event) for read in
+    readers[event.event_type])``, read from the event, the game's live
+    state and its RAM-cached extern assets. Event types the table does
+    not know have no readers.
+    """
+    return {
+        event_type: tuple(
+            _field_reader(info, game) for info in table.fields_for(event_type)
+        )
+        for event_type in table.selection.by_event_type
+    }
+
+
 class SnipRuntime:
     """Event loop with SNIP short-circuiting installed."""
 
@@ -127,17 +164,8 @@ class SnipRuntime:
         self.binder = Binder(soc)
         self.stats = RuntimeStats()
         self._online: dict = {}
-        #: Per-event-type compiled field readers: the ``event:``/
-        #: ``hist:``/``extern:`` kind of every necessary input is
-        #: resolved once at install time, so the per-event probe does no
-        #: string parsing and no selection lookup.
-        self._probes: Dict[EventType, Tuple[Callable[[Event], object], ...]] = {
-            event_type: tuple(
-                self._compile_reader(info)
-                for info in self.table.fields_for(event_type)
-            )
-            for event_type in self.table.selection.by_event_type
-        }
+        #: Per-event-type field readers, compiled at install time.
+        self._probes = key_readers(table, game)
         #: Event types whose selected fields are all ``event:``-kind —
         #: their probe keys depend only on the event object, never on
         #: game state or extern caches, so whole-session key columns can
@@ -171,7 +199,7 @@ class SnipRuntime:
         Event fields come from the event object; history fields are the
         game's live state; extern fields read the RAM-cached copy of the
         last fetched asset. Each field is read by a closure compiled at
-        table-install time (see ``_compile_reader``); event types absent
+        table-install time (see :func:`key_readers`); event types absent
         from the selection yield the empty key, exactly as
         :meth:`repro.core.table.SnipTable.fields_for` would report.
         """
@@ -188,23 +216,6 @@ class SnipRuntime:
         for info in self.table.fields_for(event.event_type):
             key.append(self._live_value(event, info))
         return tuple(key)
-
-    def _compile_reader(self, info: FieldInfo) -> Callable[[Event], object]:
-        """Resolve one necessary input's kind into a direct reader."""
-        kind, _, name = info.name.partition(":")
-        game = self.game
-        if kind == "event":
-            def read(event: Event) -> object:
-                return event.values.get(name)
-        elif kind == "hist":
-            def read(event: Event) -> object:
-                return game.state.get(name)
-        elif kind == "extern":
-            def read(event: Event) -> object:
-                return game.extern_source.peek(name)[0]
-        else:
-            raise ValueError(f"unknown field kind in {info.name!r}")
-        return read
 
     def _live_value(self, event: Event, info: FieldInfo):
         kind, _, name = info.name.partition(":")

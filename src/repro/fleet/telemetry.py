@@ -11,9 +11,8 @@ between runs of the same spec.
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Deque, Dict, List, Mapping, Optional
+from typing import Any, Callable, Dict, List, Mapping, Optional
 
 #: Event kinds the engine/executors emit.
 RUN_STARTED = "run_started"
@@ -78,16 +77,16 @@ class FleetCounters:
 class TelemetryBus:
     """Pub/sub fan-out with built-in progress counters.
 
+    The bus keeps no event history: counters are folded as events
+    arrive and each event is handed to the subscribers, so a run of any
+    length holds constant telemetry memory. A caller that wants the
+    events subscribes (``bus.subscribe(events.append)``).
+
     Parameters
     ----------
     clock:
         Monotonic time source; injectable so tests can assert
         throughput math without sleeping.
-    history_limit:
-        Cap on retained events; older ones are discarded once the
-        buffer fills. ``None`` (the default) keeps everything — fleet-
-        scale sweeps should bound it so telemetry, like the reducer,
-        stays constant-memory. Counters are unaffected either way.
     """
 
     # Wall-clock default is the point of the bus: throughput display is
@@ -95,13 +94,11 @@ class TelemetryBus:
     def __init__(
         self,
         clock: Callable[[], float] = time.monotonic,  # lint: ignore[det-wallclock]
-        history_limit: Optional[int] = None,
     ) -> None:
         self._clock = clock
         self._start = clock()
         self._subscribers: List[Callable[[TelemetryEvent], None]] = []
         self.counters = FleetCounters()
-        self.history: Deque[TelemetryEvent] = deque(maxlen=history_limit)
 
     # -- subscription ------------------------------------------------------
 
@@ -143,7 +140,6 @@ class TelemetryBus:
             self.counters.peak_rss_bytes = max(
                 self.counters.peak_rss_bytes, int(payload.get("bytes", 0))
             )
-        self.history.append(event)
         for subscriber in self._subscribers:
             subscriber(event)
         return event

@@ -241,7 +241,8 @@ class LintConfig:
         "repro/fleet/work.py::ShardTask",
         "repro/fleet/work.py::ShardResult",
         "repro/analysis/fig12_continuous_learning.py::EpochTask",
-        "repro/analysis/fig12_continuous_learning.py::EpochOutcome",
+        "repro/core/learning.py::EpochResult",
+        "repro/core/profiler.py::SnipPackage",
     )
     #: Functions whose bodies are canonical-serialisation sinks for the
     #: interprocedural taint pass (``rel/path.py::func`` or

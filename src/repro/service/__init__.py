@@ -14,7 +14,6 @@ ledger (see ``docs/SERVICE.md`` for the crash-resume contract).
 from repro.service.daemon import ServiceConfig, ServiceResult, SnipService
 from repro.service.ledger import CycleLedger
 from repro.service.reports import DeviceReport, ReportBatch, ReportQueue
-from repro.service.shipping import ShipDecision, ship_cycle
 
 __all__ = [
     "CycleLedger",
@@ -23,7 +22,5 @@ __all__ = [
     "ReportQueue",
     "ServiceConfig",
     "ServiceResult",
-    "ShipDecision",
     "SnipService",
-    "ship_cycle",
 ]

@@ -1,11 +1,25 @@
 """Tests for the SNIP evaluation figures (9, 11, 12)."""
 
+import shutil
+
 import pytest
 
 from repro.analysis.fig9_pfi_trimming import run_fig9
 from repro.analysis.fig11_energy_benefits import run_fig11
 from repro.analysis.fig12_continuous_learning import run_fig12
+from repro.core.config import SnipConfig
+from repro.fleet.executors import SerialExecutor, make_executor
 from repro.games.base import InputCategory
+from repro.registry import PackageRegistry
+
+#: The small Fig. 12 loop the tests drive (about 2 s per run).
+FIG12_KWARGS = dict(
+    game_name="colorphun",
+    epochs=4,
+    session_duration_s=15.0,
+    initial_events=40,
+    ramp=2.5,
+)
 
 
 class TestFig9:
@@ -93,13 +107,16 @@ class TestFig11:
 class TestFig12:
     @pytest.fixture(scope="class")
     def fig12(self):
-        return run_fig12(
-            game_name="colorphun",
-            epochs=4,
-            session_duration_s=15.0,
-            initial_events=40,
-            ramp=2.5,
+        return run_fig12(**FIG12_KWARGS)
+
+    @pytest.fixture(scope="class")
+    def serial_registry(self, tmp_path_factory):
+        """A serial run's result and the registry it published into."""
+        registry = PackageRegistry(tmp_path_factory.mktemp("fig12") / "registry")
+        result = run_fig12(
+            **FIG12_KWARGS, executor=SerialExecutor(), registry=registry
         )
+        return result, registry
 
     def test_initial_error_heavy(self, fig12):
         # Paper: ~40% erroneous output fields on the starved profile.
@@ -152,3 +169,42 @@ class TestFig12:
             assert state.champion_version == shipped[-1].version
         else:
             assert state.champion_version is None
+
+    def test_worker_pool_matches_the_serial_run(self, serial_registry, tmp_path):
+        serial, serial_store = serial_registry
+        registry = PackageRegistry(tmp_path / "registry")
+        pooled = run_fig12(
+            **FIG12_KWARGS, executor=make_executor(2), registry=registry
+        )
+        assert pooled.to_text() == serial.to_text()
+        slot = ("colorphun", SnipConfig())
+        assert (
+            registry.state_path(*slot).read_bytes()
+            == serial_store.state_path(*slot).read_bytes()
+        )
+
+    def test_bad_ramp_is_a_value_error_on_every_executor(self):
+        kwargs = dict(FIG12_KWARGS, ramp=1.0)
+        for executor in (SerialExecutor(), make_executor(2)):
+            with pytest.raises(ValueError, match="ramp must exceed 1.0"):
+                run_fig12(**kwargs, executor=executor)
+
+    def test_rerun_against_the_same_registry_ships_nothing(
+        self, serial_registry, tmp_path
+    ):
+        # Every table deduplicates to the version the first run
+        # published, and a deduplicated version is not judged again.
+        first, published = serial_registry
+        registry = PackageRegistry(tmp_path / "registry")
+        shutil.copytree(published.root, registry.root)
+        state_path = registry.state_path("colorphun", SnipConfig())
+        state = state_path.read_bytes()
+        again = run_fig12(**FIG12_KWARGS, registry=registry)
+        versions = [decision.version for decision in first.decisions]
+        assert [decision.version for decision in again.decisions] == versions
+        assert not any(decision.shipped for decision in again.decisions)
+        assert [decision.reasons for decision in again.decisions] == [
+            (f"identical to registered version {version}",)
+            for version in versions
+        ]
+        assert state_path.read_bytes() == state

@@ -2,49 +2,57 @@
 
 import pytest
 
-from repro.core.learning import ContinuousLearner
+from repro.core.learning import (
+    available_events,
+    epoch_seeds,
+    evaluate_table,
+    run_epoch,
+    truncate_trace,
+)
 from repro.users.tracegen import generate_trace
 
 
 class TestDataStarvation:
     def test_available_events_ramp(self):
-        learner = ContinuousLearner("colorphun", initial_events=40, ramp=2.0)
-        assert learner._available_events(0) == 40
-        assert learner._available_events(1) == 80
-        assert learner._available_events(3) == 320
+        assert available_events(40, 2.0, 0) == 40
+        assert available_events(40, 2.0, 1) == 80
+        assert available_events(40, 2.0, 3) == 320
 
     def test_truncation_caps_each_session(self):
-        learner = ContinuousLearner("colorphun")
         trace = generate_trace("colorphun", seed=1, duration_s=10.0)
-        truncated = learner._truncate(trace, 25)
+        truncated = truncate_trace(trace, 25)
         assert len(truncated) == 25
         assert truncated.game_name == trace.game_name
         assert truncated.events == trace.events[:25]
 
     def test_truncation_beyond_length_is_identity(self):
-        learner = ContinuousLearner("colorphun")
         trace = generate_trace("colorphun", seed=1, duration_s=5.0)
-        assert len(learner._truncate(trace, 10**6)) == len(trace)
+        assert len(truncate_trace(trace, 10**6)) == len(trace)
 
 
 class TestEpochBookkeeping:
     def test_traces_accumulate_across_epochs(self):
-        learner = ContinuousLearner(
-            "colorphun", session_duration_s=8.0, initial_events=30, ramp=3.0
+        # Epoch k trains on the sessions of epochs 0..k, each capped at
+        # epoch k's event budget.
+        kwargs = dict(session_duration_s=8.0, initial_events=30, ramp=3.0)
+        first, _ = run_epoch("colorphun", 0, **kwargs)
+        second, _ = run_epoch("colorphun", 1, **kwargs)
+        sessions = [
+            generate_trace("colorphun", epoch_seeds(0, epoch)[0], 8.0)
+            for epoch in (0, 1)
+        ]
+        assert first.epoch == 0 and second.epoch == 1
+        assert first.training_events == min(30, len(sessions[0]))
+        assert second.training_events == sum(
+            min(90, len(session)) for session in sessions
         )
-        learner.run_epoch(0)
-        learner.run_epoch(1)
-        assert len(learner._traces) == 2
-        assert len(learner.history) == 2
-        assert learner.history[0].epoch == 0
 
     def test_epochs_are_deterministic(self):
         def run():
-            learner = ContinuousLearner(
-                "colorphun", session_duration_s=8.0, initial_events=30,
+            return run_epoch(
+                "colorphun", 0, session_duration_s=8.0, initial_events=30,
                 ramp=3.0, seed=4,
-            )
-            return learner.run_epoch(0)
+            )[0]
 
         first, second = run(), run()
         assert first.error_fraction == pytest.approx(second.error_fraction)
@@ -54,10 +62,8 @@ class TestEpochBookkeeping:
         kwargs = dict(
             session_duration_s=10.0, initial_events=40, ramp=3.0, seed=2
         )
-        gated = ContinuousLearner("colorphun", **kwargs).run_epoch(0)
-        ungated = ContinuousLearner(
-            "colorphun", ungated_epochs=1, **kwargs
-        ).run_epoch(0)
+        gated, _ = run_epoch("colorphun", 0, **kwargs)
+        ungated, _ = run_epoch("colorphun", 0, ungated_epochs=1, **kwargs)
         # Without the confidence gate the starved table substitutes far
         # more aggressively (and pays for it in errors).
         assert ungated.hit_fraction >= gated.hit_fraction
@@ -66,19 +72,19 @@ class TestEpochBookkeeping:
 
 class TestEvaluation:
     def test_evaluate_counts_every_event(self, ab_package):
-        learner = ContinuousLearner("ab_evolution")
         trace = generate_trace("ab_evolution", seed=42, duration_s=8.0)
-        hit_fraction, error_fraction = learner.evaluate(ab_package.table, trace)
+        hit_fraction, error_fraction = evaluate_table(
+            "ab_evolution", ab_package.table, trace
+        )
         assert 0.0 <= hit_fraction <= 1.0
         assert 0.0 <= error_fraction <= 1.0
 
     def test_empty_table_never_errs(self, ab_package):
         from repro.core.table import SnipTable
 
-        learner = ContinuousLearner("ab_evolution")
         trace = generate_trace("ab_evolution", seed=42, duration_s=8.0)
-        hit_fraction, error_fraction = learner.evaluate(
-            SnipTable(ab_package.selection), trace
+        hit_fraction, error_fraction = evaluate_table(
+            "ab_evolution", SnipTable(ab_package.selection), trace
         )
         assert hit_fraction == 0.0
         assert error_fraction == 0.0

@@ -4,7 +4,7 @@ import pytest
 
 from repro.android.events import EventType, make_frame_tick
 from repro.core.config import SnipConfig
-from repro.core.learning import ContinuousLearner
+from repro.core.learning import run_epoch
 from repro.core.profiler import CloudProfiler
 from repro.core.runtime import SnipRuntime
 from repro.core.table import SnipTable
@@ -147,10 +147,13 @@ class TestContinuousLearning:
     def test_fig12_shape_on_colorphun(self):
         # Insufficient initial profile -> heavy errors; more sessions ->
         # near-zero errors (the paper's Fig. 12 trajectory).
-        learner = ContinuousLearner(
-            "colorphun", session_duration_s=15.0, initial_events=40, ramp=2.5
-        )
-        results = learner.run(4)
+        results = [
+            run_epoch(
+                "colorphun", epoch, session_duration_s=15.0,
+                initial_events=40, ramp=2.5,
+            )[0]
+            for epoch in range(4)
+        ]
         assert len(results) == 4
         assert results[0].error_fraction > 0.10
         assert not results[0].confident
@@ -159,17 +162,20 @@ class TestContinuousLearning:
         assert results[-1].training_events > results[0].training_events
 
     def test_errors_decay_on_ab_evolution(self):
-        learner = ContinuousLearner(
-            "ab_evolution", session_duration_s=15.0, initial_events=50, ramp=2.5
-        )
-        results = learner.run(4)
+        results = [
+            run_epoch(
+                "ab_evolution", epoch, session_duration_s=15.0,
+                initial_events=50, ramp=2.5,
+            )[0]
+            for epoch in (0, 3)
+        ]
         assert results[-1].error_fraction < max(0.01, results[0].error_fraction)
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
-            ContinuousLearner("colorphun", initial_events=0)
+            run_epoch("colorphun", 0, initial_events=0)
         with pytest.raises(ValueError):
-            ContinuousLearner("colorphun", ramp=1.0)
+            run_epoch("colorphun", 0, ramp=1.0)
 
 
 class TestSchemeGuards:

@@ -110,10 +110,10 @@ def test_shard_finished_carries_parent_measured_wall_time():
     # object (results are pickled into checkpoints, which must stay
     # byte-stable across identical runs).
     telemetry = TelemetryBus()
+    events = []
+    telemetry.subscribe(events.append)
     SerialExecutor().run(_square, [2, 3], telemetry=telemetry)
-    finished = [
-        event for event in telemetry.history if event.kind == "shard_finished"
-    ]
+    finished = [event for event in events if event.kind == "shard_finished"]
     assert len(finished) == 2
     for event in finished:
         assert event.payload["wall_s"] >= 0.0
@@ -186,12 +186,12 @@ def test_queue_window_holds_behind_a_retried_head(tmp_path):
 def test_queue_executor_emits_queue_depth_within_window():
     executor = QueueFleetExecutor(jobs=2)
     telemetry = TelemetryBus()
+    events = []
+    telemetry.subscribe(events.append)
     results = executor.run(_square, list(range(9)), telemetry=telemetry)
     assert results == [v * v for v in range(9)]
     depths = [
-        event.payload["depth"]
-        for event in telemetry.history
-        if event.kind == QUEUE_DEPTH
+        event.payload["depth"] for event in events if event.kind == QUEUE_DEPTH
     ]
     assert depths, "queue executor must report its backlog"
     assert telemetry.counters.peak_queue_depth == max(depths)

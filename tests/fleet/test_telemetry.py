@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import tracemalloc
 
 import pytest
 
@@ -71,14 +72,32 @@ def test_events_per_second_is_zero_at_zero_elapsed():
     assert bus.events_per_second() == pytest.approx(10_000 / 0.5000000010)
 
 
-def test_subscribers_see_every_event_and_history_records_them():
+def test_subscribers_see_every_event_in_order():
     bus = TelemetryBus(clock=FakeClock())
     seen = []
     bus.subscribe(seen.append)
-    bus.emit(RUN_STARTED, shards=1)
-    bus.emit(SHARD_FINISHED, shard_index=0, events=1)
+    started = bus.emit(RUN_STARTED, shards=1)
+    finished = bus.emit(SHARD_FINISHED, shard_index=0, events=1)
+    assert seen == [started, finished]
     assert [event.kind for event in seen] == [RUN_STARTED, SHARD_FINISHED]
-    assert list(bus.history) == seen
+
+
+def test_bus_retains_no_events():
+    # A fleet emits five events per shard and ``serve`` runs unbounded,
+    # so the bus must not keep what it emits: 50,000 emits stay under
+    # 1 MB (a retained history held ~16 MB).
+    bus = TelemetryBus(clock=FakeClock())
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for index in range(50_000):
+            bus.emit(SHARD_FINISHED, shard_index=index, events=10, devices=1)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 1_000_000
+    assert bus.counters.shards_done == 50_000
+    assert bus.counters.events_processed == 500_000
 
 
 def test_gauges_track_high_water_marks():
@@ -100,29 +119,19 @@ def test_gauges_track_high_water_marks():
     assert snapshot["peak_rss_bytes"] == 1_000_000
 
 
-def test_history_limit_bounds_retention_not_counters():
-    bus = TelemetryBus(clock=FakeClock(), history_limit=2)
-    for index in range(5):
-        bus.emit(SHARD_FINISHED, shard_index=index, events=10, devices=1)
-    assert len(bus.history) == 2
-    assert [event.shard_index for event in bus.history] == [3, 4]
-    assert bus.counters.shards_done == 5
-    assert bus.counters.events_processed == 50
-
-
 def test_fleet_engine_reports_gauges_through_the_bus(small_spec, small_package):
     from repro.fleet import FleetEngine
 
     bus = TelemetryBus()
+    events = []
+    bus.subscribe(events.append)
     FleetEngine(small_spec, package=small_package, cache=None, telemetry=bus).run()
-    kinds = [event.kind for event in bus.history]
+    kinds = [event.kind for event in events]
     assert QUEUE_DEPTH in kinds
     assert LIVE_SHARDS in kinds
     assert PEAK_RSS in kinds
     assert bus.counters.peak_rss_bytes > 0
-    finished = next(
-        event for event in bus.history if event.kind == RUN_FINISHED
-    )
+    finished = next(event for event in events if event.kind == RUN_FINISHED)
     assert finished.payload["peak_rss_bytes"] == bus.counters.peak_rss_bytes
     assert finished.payload["peak_live_shards"] == bus.counters.peak_live_shards
 

@@ -36,7 +36,13 @@ from tests.service.conftest import make_service
 
 
 @pytest.fixture(scope="module")
-def three_cycles(tmp_path_factory, shared_cache):
+def telemetry_events():
+    """Every telemetry event the shared 3-cycle daemon emits, in order."""
+    return []
+
+
+@pytest.fixture(scope="module")
+def three_cycles(tmp_path_factory, shared_cache, telemetry_events):
     """One uninterrupted 3-cycle daemon shared by the read-only tests."""
     config = ServiceConfig(
         game_name="colorphun",
@@ -53,9 +59,9 @@ def three_cycles(tmp_path_factory, shared_cache):
         eval_duration_s=5.0,
     )
     run_dir = tmp_path_factory.mktemp("daemon") / "run"
-    service = make_service(
-        config, run_dir, shared_cache, telemetry=TelemetryBus()
-    )
+    telemetry = TelemetryBus()
+    telemetry.subscribe(telemetry_events.append)
+    service = make_service(config, run_dir, shared_cache, telemetry=telemetry)
     result = service.run(cycles=3)
     return service, result
 
@@ -142,9 +148,9 @@ def test_identical_config_reproduces_identical_ledger_bytes(
     assert service.ledger.to_json() == reference_ledger
 
 
-def test_telemetry_narrates_cycles_and_stages(three_cycles):
+def test_telemetry_narrates_cycles_and_stages(three_cycles, telemetry_events):
     service, _ = three_cycles
-    kinds = [event.kind for event in service.telemetry.history]
+    kinds = [event.kind for event in telemetry_events]
     assert kinds.count(CYCLE_STARTED) == 3
     assert kinds.count(CYCLE_FINISHED) == 3
     assert kinds.count(STAGE_FINISHED) == 3 * len(STAGES)
@@ -152,8 +158,7 @@ def test_telemetry_narrates_cycles_and_stages(three_cycles):
     assert PEAK_RSS in kinds
     assert service.telemetry.counters.peak_rss_bytes > 0
     finished = [
-        event for event in service.telemetry.history
-        if event.kind == CYCLE_FINISHED
+        event for event in telemetry_events if event.kind == CYCLE_FINISHED
     ]
     assert [event.payload["cycle"] for event in finished] == [0, 1, 2]
     assert all(event.payload["wall_s"] >= 0 for event in finished)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.android.tracing import EventTracer, RecordedTrace
-from repro.core.learning import ContinuousLearner
+from repro.core.learning import truncate_trace
 from repro.games.registry import GAME_NAMES
 from repro.users.population import DEFAULT_ARCHETYPES, Population
 from repro.users.tracegen import generate_events, generate_trace
@@ -65,8 +65,7 @@ def _traces_from_every_builder():
         tracer.record(event)
     yield "EventTracer", tracer.trace
     yield "from_dict", RecordedTrace.from_dict(generated.to_dict())
-    learner = ContinuousLearner("chase_whisply")
-    yield "_truncate", learner._truncate(generated, 40)
+    yield "truncate_trace", truncate_trace(generated, 40)
 
 
 def test_uplink_bytes_counts_every_event():
