@@ -2,8 +2,8 @@
 
 Times the optimised implementations against their in-source golden
 references — batched tree/forest prediction vs. per-row walks, in-place
-permutation importance vs. the full-matrix-copy variant, compiled
-runtime probes vs. per-event string parsing, and a warm package-cache
+permutation importance vs. the full-matrix-copy variant, the columnar
+device session vs. its scalar reference, and a warm package-cache
 ``SnipScheme.prepare`` vs. a cold profile — checks the equivalence and
 speedup gates, and writes ``BENCH_hotpath.json`` at the repo root.
 
@@ -25,11 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.config import SnipConfig
 from repro.core.package_cache import PackageCache
 from repro.core.profiler import CloudProfiler
-from repro.core.runtime import SnipRuntime
-from repro.games.registry import GAME_CONTENT_SEED, create_game
 from repro.ml.forest import RandomForestClassifier
 from repro.ml.permutation import (
     permutation_importance,
@@ -37,8 +34,6 @@ from repro.ml.permutation import (
 )
 from repro.ml.tree import DecisionTreeClassifier
 from repro.schemes.snip_scheme import SnipScheme
-from repro.soc.soc import snapdragon_821
-from repro.users.tracegen import generate_events
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 REPORT_PATH = REPO_ROOT / "BENCH_hotpath.json"
@@ -136,59 +131,6 @@ def bench_pfi(quick: bool, repeats: int) -> dict:
     fast_s = _time(run_fast, repeats)
     ref_s = _time(run_reference, repeats)
     return {"fast_s": fast_s, "reference_s": ref_s, "speedup": ref_s / fast_s}
-
-
-def bench_runtime_probe(quick: bool, repeats: int) -> dict:
-    """Batched ``probe_batch`` vs the scalar key-build + lookup loop.
-
-    The scalar reference is what ``deliver`` does per event without
-    batching: parse the selection's field reads against the live event
-    and probe the memo table once. ``probe_batch`` groups the session
-    by event type, builds each type's key column with the compiled
-    readers, and gathers the entries in one ``lookup_batch`` pass.
-    """
-    duration = 10.0 if quick else 30.0
-    config = SnipConfig()
-    package = CloudProfiler(config, cache=None).build_package_from_sessions(
-        "candy_crush", seeds=[1], duration_s=duration
-    )
-    runtime = SnipRuntime(
-        snapdragon_821(), create_game("candy_crush", GAME_CONTENT_SEED),
-        package.table, config,
-    )
-    events = list(generate_events("candy_crush", seed=9, duration_s=duration))
-    known = [event for event in events if package.table.knows(event.event_type)]
-    table = package.table
-
-    def run_fast():
-        return runtime.probe_batch(known)
-
-    def run_reference():
-        return [
-            table.lookup(event.event_type, runtime.live_key_reference(event))
-            for event in known
-        ]
-
-    keys, entries, hit_mask = run_fast()
-    reference_entries = run_reference()
-    assert keys == [
-        runtime.live_key_reference(event) for event in known
-    ], "batched probe keys diverged from reference"
-    assert entries == reference_entries, (
-        "batched probe entries diverged from reference"
-    )
-    assert list(hit_mask) == [
-        entry is not None for entry in reference_entries
-    ], "batched hit mask diverged from reference"
-    fast_s = _time(run_fast, repeats)
-    ref_s = _time(run_reference, repeats)
-    return {
-        "events": len(known),
-        "hits": int(hit_mask.sum()),
-        "fast_s": fast_s,
-        "reference_s": ref_s,
-        "speedup": ref_s / fast_s,
-    }
 
 
 def bench_session_batch(quick: bool, repeats: int) -> dict:
@@ -296,12 +238,11 @@ def main(argv=None) -> int:
     gates = {
         "forest_predict": 1.5 if quick else 5.0,
         "pfi": 1.5 if quick else 3.0,
-        # The session/probe references share the process-wide fold and
-        # event memos with the batched path, so these floors gate the
+        # The session reference shares the process-wide fold and event
+        # memos with the batched path, so this floor gates the
         # *residual* columnar win (trace assembly, batched dispatch,
-        # grouped lookups, columnar ledger); the end-to-end ≥5x gate
-        # against the recorded scalar floor lives in bench_fleet_scaling.
-        "runtime_probe": 1.3 if quick else 1.6,
+        # columnar ledger); the end-to-end ≥5x gate against the
+        # recorded scalar floor lives in bench_fleet_scaling.
         "session_batch": 1.2 if quick else 1.4,
         "package_cache": 3.0 if quick else 10.0,
     }
@@ -311,7 +252,6 @@ def main(argv=None) -> int:
         ("tree_predict", lambda: bench_tree_predict(quick, repeats)),
         ("forest_predict", lambda: bench_forest_predict(quick, repeats)),
         ("pfi", lambda: bench_pfi(quick, repeats)),
-        ("runtime_probe", lambda: bench_runtime_probe(quick, repeats)),
         ("session_batch", lambda: bench_session_batch(quick, repeats)),
         ("package_cache", lambda: bench_package_cache(quick)),
     ]

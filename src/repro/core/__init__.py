@@ -25,12 +25,7 @@ from repro.core.fields import (
 )
 from repro.core.learning import EpochResult, run_epoch
 from repro.core.overrides import DeveloperOverrides
-from repro.core.package_cache import (
-    CacheStats,
-    PackageCache,
-    default_package_cache,
-    package_digest,
-)
+from repro.core.package_cache import CacheStats, PackageCache, package_digest
 from repro.core.pfi import EventTypeProfile, PfiAnalysis, run_pfi
 from repro.core.profiler import CloudProfiler, SnipPackage
 from repro.core.quality import QualityController, QualityReport
@@ -59,7 +54,6 @@ __all__ = [
     "QualityReport",
     "build_developer_report",
     "build_device_contribution",
-    "default_package_cache",
     "dump_table",
     "federate",
     "load_table",

@@ -36,9 +36,6 @@ CACHE_FORMAT_VERSION = 1
 #: Environment variable overriding the cache directory.
 CACHE_DIR_ENV = "REPRO_SNIP_CACHE_DIR"
 
-#: Environment variable disabling the cache entirely (any non-empty value).
-CACHE_DISABLE_ENV = "REPRO_SNIP_NO_CACHE"
-
 _CODE_DIGEST: Optional[str] = None
 
 
@@ -249,12 +246,3 @@ def default_cache_root() -> Path:
     if override:
         return Path(override)
     return Path.home() / ".cache" / "repro-snip"
-
-
-def default_package_cache() -> Optional[PackageCache]:
-    """The process-default cache, or ``None`` when opted out via env."""
-    # Opting out changes only how often the profiler recomputes, never
-    # what it computes, so this read cannot make results irreproducible.
-    if os.environ.get(CACHE_DISABLE_ENV):  # lint: ignore[det-env-read]
-        return None
-    return PackageCache()

@@ -51,13 +51,6 @@ class EventTypeProfile:
         """Cycle mass of this event type (aggregation weight)."""
         return float(sum(record.trace.total_cycles for record in self.records))
 
-    def field_info(self, name: str) -> FieldInfo:
-        """Universe entry by name."""
-        for info in self.universe:
-            if info.name == name:
-                return info
-        raise KeyError(name)
-
 
 @dataclass
 class PfiAnalysis:

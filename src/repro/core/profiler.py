@@ -16,11 +16,7 @@ from repro.android.emulator import Emulator, ProfileRecord
 from repro.android.tracing import RecordedTrace
 from repro.core.config import SnipConfig
 from repro.core.overrides import DeveloperOverrides
-from repro.core.package_cache import (
-    PackageCache,
-    default_package_cache,
-    package_digest,
-)
+from repro.core.package_cache import PackageCache, package_digest
 from repro.core.pfi import PfiAnalysis, run_pfi
 from repro.core.selection import SelectedInputs, select_necessary_inputs
 from repro.core.table import SnipTable
@@ -71,15 +67,15 @@ class CloudProfiler:
     ) -> None:
         """``cache`` controls package reuse for the sessions entry point.
 
-        ``"auto"`` (the default) uses the process-default on-disk cache
-        (honouring the ``REPRO_SNIP_NO_CACHE`` opt-out), ``None``
+        ``"auto"`` (the default) uses the on-disk cache under
+        :func:`~repro.core.package_cache.default_cache_root`, ``None``
         disables caching for this profiler, and a
         :class:`~repro.core.package_cache.PackageCache` pins a specific
         store (tests and the CLI use this).
         """
         self.config = config or SnipConfig()
         self.overrides = overrides or DeveloperOverrides()
-        self.cache = default_package_cache() if cache == "auto" else (cache or None)
+        self.cache = PackageCache() if cache == "auto" else (cache or None)
         self.emulator = Emulator(verify=False)
 
     # -- stage wrappers ------------------------------------------------------

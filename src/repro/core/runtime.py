@@ -21,8 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.android.binder import Binder
 from repro.android.dispatch import (
     Pattern,
@@ -263,7 +261,7 @@ class SnipRuntime:
         if event.event_type in _SCANOUT_TYPES:
             self.soc.charge_invocation(IP_DISPLAY, 1.0, bytes_in=512 * 1024)
 
-    # -- batched probing ----------------------------------------------------
+    # -- session keys -------------------------------------------------------
 
     def session_keys(self, events: Sequence[Event]) -> List[Optional[Tuple]]:
         """Precomputed probe keys for the event-only types in ``events``.
@@ -287,49 +285,6 @@ class SnipRuntime:
             else:
                 keys.append(None)
         return keys
-
-    def probe_batch(
-        self, events: Sequence[Event]
-    ) -> Tuple[List[Optional[Tuple]], List[Optional[TableEntry]], np.ndarray]:
-        """Probe the memo table for a whole session in one pass.
-
-        Groups the events by type, builds each type's key column with
-        the compiled field readers, gathers that column's entries from
-        the table in one pass (:meth:`SnipTable.lookup_batch`), and
-        returns ``(keys, entries, hit_mask)`` indexed like ``events``.
-        Unknown types keep ``None`` keys and entries.
-
-        Semantics match a scalar ``live_key`` + ``lookup`` loop against
-        the table's *current* contents and the game's *current* state,
-        so a caller must either restrict itself to event-only
-        selections or hold state and table fixed across the batch. No
-        session path calls it: the hot-path benchmark
-        (``benchmarks/bench_hotpath.py``) and the probe-batch tests do,
-        holding both fixed.
-        """
-        count = len(events)
-        keys: List[Optional[Tuple]] = [None] * count
-        entries: List[Optional[TableEntry]] = [None] * count
-        by_type: Dict[EventType, List[int]] = {}
-        for index, event in enumerate(events):
-            by_type.setdefault(event.event_type, []).append(index)
-        for event_type, indices in by_type.items():
-            if not self.table.knows(event_type):
-                continue
-            readers = self._probes.get(event_type, ())
-            if readers:
-                columns = [[read(events[i]) for i in indices] for read in readers]
-                type_keys: List[Tuple] = list(zip(*columns))
-            else:
-                type_keys = [()] * len(indices)
-            found = self.table.lookup_batch(event_type, type_keys)
-            for index, key, entry in zip(indices, type_keys, found):
-                keys[index] = key
-                entries[index] = entry
-        hit_mask = np.fromiter(
-            (entry is not None for entry in entries), dtype=bool, count=count
-        )
-        return keys, entries, hit_mask
 
     # -- event loop -------------------------------------------------------------
 

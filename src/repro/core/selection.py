@@ -59,44 +59,24 @@ def table_error(
     profile: EventTypeProfile,
     selected: Sequence[FieldInfo],
     ignore_temp: bool = False,
-    min_support: int = 1,
 ) -> float:
     """Cycle-weighted misprediction rate of a table keyed on ``selected``.
 
-    With ``min_support > 1``, keys observed fewer than that many times
-    contribute their whole weight as error: a key that never recurs in
-    the profile provides no memoization evidence, so a selection that
-    fragments the key space into singletons (e.g. by keying on a
-    monotonically increasing score) is *worse*, not trivially perfect.
-    Selection uses ``min_support=2``; the Fig. 9 trimming curve uses the
-    plain training-set semantics (``min_support=1``).
+    Training-set semantics: every key predicts its cycle-majority
+    output, however rarely it recurs. This is Fig. 9's trimming curve;
+    selection itself scores subsets with :func:`gated_table_stats`,
+    which also demands that a key recur across sessions.
     """
     columns = [profile.encoder.index_of(info.name) for info in selected]
     weights = profile.dataset.sample_weight
-    multi_session = profile.session_count >= 2
     by_key: Dict[Tuple, Counter] = defaultdict(Counter)
-    support: Dict[Tuple, set] = defaultdict(set)
     for row in range(len(profile.records)):
         key = _record_key(profile, row, columns)
         by_key[key][_signature_for_budget(profile, row, ignore_temp)] += weights[row]
-        if min_support > 1:
-            # With a multi-session profile, support means "recurs across
-            # sessions/users"; single-session profiles fall back to
-            # plain recurrence.
-            support[key].add(
-                profile.records[row].session if multi_session else row % 997
-            )
     total = float(weights.sum())
     if total <= 0:
         return 0.0
-    if min_support <= 1:
-        correct = sum(counter.most_common(1)[0][1] for counter in by_key.values())
-    else:
-        correct = sum(
-            counter.most_common(1)[0][1]
-            for key, counter in by_key.items()
-            if len(support[key]) >= min_support
-        )
+    correct = sum(counter.most_common(1)[0][1] for counter in by_key.values())
     return max(0.0, 1.0 - correct / total)
 
 
@@ -256,19 +236,6 @@ class SelectedInputs:
             for info in fields:
                 totals[info.category] += info.nbytes
         return totals
-
-
-def _ascending_importance(
-    analysis: PfiAnalysis, event_type: EventType
-) -> List[FieldInfo]:
-    """Universe fields ordered least-important first (trim order)."""
-    profile = analysis.profiles[event_type]
-    ranked = analysis.importances[event_type]
-    order = {imp.name: position for position, imp in enumerate(ranked)}
-    # ranked is most-important-first; trim from the tail.
-    return sorted(
-        profile.universe, key=lambda info: -order.get(info.name, len(order))
-    )
 
 
 def trimming_curve(

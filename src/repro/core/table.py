@@ -100,21 +100,6 @@ class SnipTable:
         """The stored entry for a key, or ``None`` on a miss."""
         return self._entries.get(event_type, {}).get(key)
 
-    def lookup_batch(
-        self, event_type: EventType, keys: Sequence[Tuple]
-    ) -> List[Optional[TableEntry]]:
-        """Entries for many keys of one event type in one gather.
-
-        One ``dict.get`` bound-method pass over the whole key column —
-        semantically ``[self.lookup(event_type, key) for key in keys]``
-        against the table's current contents.
-        """
-        entries = self._entries.get(event_type)
-        if not entries:
-            return [None] * len(keys)
-        get = entries.get
-        return [get(key) for key in keys]
-
     def evict_weakest(self) -> bool:
         """Drop the lowest-confidence entry; returns False when empty.
 

@@ -110,7 +110,7 @@ class FleetError(ReproError):
 
 
 class WorkerCrashError(FleetError):
-    """A fleet worker (process or in-line) died and exhausted its retries."""
+    """Fleet worker processes died more often than the retry budget allows."""
 
 
 class CheckpointError(FleetError):

@@ -2,8 +2,11 @@
 
 Every executor implements the same contract: run a picklable function
 over an indexed sequence of payloads and **stream** ``(index, result)``
-pairs back in completion order. Failures are retried against a capped,
-run-wide retry budget; exhausting it raises
+pairs back in completion order. Every payload is a pure function of its
+input, so an exception it raises would recur on any retry: it
+propagates as itself. Only a dead worker is retried — the pool is
+rebuilt and the work it owed re-queued — against a run-wide budget of
+:data:`DEFAULT_RETRY_BUDGET` crashes; exhausting it raises
 :class:`~repro.errors.WorkerCrashError`. Because every payload is
 self-contained and results carry their index, the choice of executor
 (and the number of workers) can never change what a fleet run computes
@@ -37,7 +40,8 @@ from repro.fleet.telemetry import (
     TelemetryBus,
 )
 
-#: Default cap on retries across one whole run (not per payload).
+#: Pool crashes one run may recover from (across the run, not per
+#: payload) before it raises :class:`~repro.errors.WorkerCrashError`.
 DEFAULT_RETRY_BUDGET = 3
 
 #: Submitted-but-unreduced payloads per worker for the queue executor:
@@ -57,7 +61,6 @@ class FleetExecutor:
         fn: Callable[[Any], Any],
         payloads: Sequence[Any],
         telemetry: Optional[TelemetryBus] = None,
-        retry_budget: int = DEFAULT_RETRY_BUDGET,
     ) -> Iterator[Tuple[int, Any]]:
         """Yield ``(index, result)`` pairs in completion order.
 
@@ -82,7 +85,6 @@ class FleetExecutor:
         fn: Callable[[Any], Any],
         payloads: Sequence[Any],
         telemetry: Optional[TelemetryBus] = None,
-        retry_budget: int = DEFAULT_RETRY_BUDGET,
     ) -> List[Any]:
         """Run ``fn`` over ``payloads``; results ordered by payload index.
 
@@ -90,28 +92,9 @@ class FleetExecutor:
         incrementally should consume :meth:`stream` instead.
         """
         results: List[Any] = [None] * len(payloads)
-        for index, result in self.stream(
-            fn, payloads, telemetry=telemetry, retry_budget=retry_budget
-        ):
+        for index, result in self.stream(fn, payloads, telemetry=telemetry):
             results[index] = result
         return results
-
-
-class _RetryBudget:
-    """Run-wide failure allowance shared by all payloads."""
-
-    def __init__(self, budget: int) -> None:
-        if budget < 0:
-            raise FleetError(f"retry budget must be non-negative, got {budget}")
-        self._remaining = budget
-
-    def spend(self, shard: Optional[int], error: BaseException) -> None:
-        """Consume one retry, or raise when the budget is gone."""
-        if self._remaining <= 0:
-            raise WorkerCrashError(
-                f"retry budget exhausted at shard {shard}: {error!r}"
-            ) from error
-        self._remaining -= 1
 
 
 def _shard_label(payload: Any, index: int) -> int:
@@ -136,35 +119,20 @@ class SerialExecutor(FleetExecutor):
         fn: Callable[[Any], Any],
         payloads: Sequence[Any],
         telemetry: Optional[TelemetryBus] = None,
-        retry_budget: int = DEFAULT_RETRY_BUDGET,
     ) -> Iterator[Tuple[int, Any]]:
-        budget = _RetryBudget(retry_budget)
         total = len(payloads)
         for index in range(total):
-            while True:
-                payload = payloads[index]
-                label = _shard_label(payload, index)
-                started = telemetry.elapsed_seconds() if telemetry else 0.0
-                if telemetry:
-                    telemetry.emit(SHARD_STARTED, shard_index=label)
-                try:
-                    result = fn(payload)
-                except Exception as exc:
-                    budget.spend(label, exc)
-                    if telemetry:
-                        telemetry.emit(
-                            WORKER_FAILURE, shard_index=label, error=repr(exc)
-                        )
-                        telemetry.emit(SHARD_RETRIED, shard_index=label)
-                    continue
-                wall_s = (
-                    telemetry.elapsed_seconds() - started if telemetry else None
-                )
-                _announce(telemetry, label, result, wall_s=wall_s)
-                if telemetry:
-                    telemetry.emit(QUEUE_DEPTH, depth=total - index - 1)
-                yield index, result
-                break
+            payload = payloads[index]
+            label = _shard_label(payload, index)
+            started = telemetry.elapsed_seconds() if telemetry else 0.0
+            if telemetry:
+                telemetry.emit(SHARD_STARTED, shard_index=label)
+            result = fn(payload)
+            wall_s = telemetry.elapsed_seconds() - started if telemetry else None
+            _announce(telemetry, label, result, wall_s=wall_s)
+            if telemetry:
+                telemetry.emit(QUEUE_DEPTH, depth=total - index - 1)
+            yield index, result
 
 
 class QueueFleetExecutor(FleetExecutor):
@@ -174,15 +142,15 @@ class QueueFleetExecutor(FleetExecutor):
     submitted only while ``p < oldest + window``, where ``oldest`` is
     the smallest index whose result has not been yielded — so neither
     the futures table nor a consumer's reorder buffer grows with the
-    sweep size, however slow the oldest payload runs. Worker exceptions
-    send the payload back to the head of the backlog (the anchor cannot
-    pass it until it is yielded); a pool crash (a worker killed
-    outright) rebuilds the pool and puts every payload submitted to the
-    dead pool without a yielded result back at the head too. Each
-    failure, and each crash however many payloads it took down, is
-    charged once to the shared retry budget. Emits ``queue_depth``
-    gauges so the telemetry bus tracks how deep the unprocessed queue
-    ran.
+    sweep size, however slow the oldest payload runs. An exception a
+    payload raises in its worker is re-raised here as itself. A pool
+    crash (a worker killed outright) rebuilds the pool and puts every
+    payload submitted to the dead pool without a yielded result back at
+    the head of the backlog (the anchor cannot pass them until they are
+    yielded); each crash, however many payloads it took down, is
+    charged once to the run's budget of :data:`DEFAULT_RETRY_BUDGET`.
+    Emits ``queue_depth`` gauges so the telemetry bus tracks how deep
+    the unprocessed queue ran.
     """
 
     def __init__(self, jobs: int) -> None:
@@ -200,9 +168,8 @@ class QueueFleetExecutor(FleetExecutor):
         fn: Callable[[Any], Any],
         payloads: Sequence[Any],
         telemetry: Optional[TelemetryBus] = None,
-        retry_budget: int = DEFAULT_RETRY_BUDGET,
     ) -> Iterator[Tuple[int, Any]]:
-        budget = _RetryBudget(retry_budget)
+        crashes_left = DEFAULT_RETRY_BUDGET
         backlog = deque(range(len(payloads)))
         # The window's anchor, and the indices past it already yielded.
         oldest = 0
@@ -239,22 +206,9 @@ class QueueFleetExecutor(FleetExecutor):
                             )
                         done, _ = wait(inflight, return_when=FIRST_COMPLETED)
                         for future in done:
-                            try:
-                                result = future.result()
-                            except BrokenProcessPool:
-                                raise
-                            except Exception as exc:
-                                index, label, _ = inflight.pop(future)
-                                budget.spend(label, exc)
-                                if telemetry:
-                                    telemetry.emit(
-                                        WORKER_FAILURE,
-                                        shard_index=label,
-                                        error=repr(exc),
-                                    )
-                                    telemetry.emit(SHARD_RETRIED, shard_index=label)
-                                backlog.appendleft(index)
-                                continue
+                            # A worker's own exception propagates as
+                            # itself; BrokenProcessPool leaves the pool.
+                            result = future.result()
                             index, label, started = inflight.pop(future)
                             wall_s = (
                                 telemetry.elapsed_seconds() - started
@@ -268,7 +222,11 @@ class QueueFleetExecutor(FleetExecutor):
                                 oldest += 1
                             yield index, result
             except BrokenProcessPool as exc:
-                budget.spend(None, exc)
+                if crashes_left <= 0:
+                    raise WorkerCrashError(
+                        f"retry budget exhausted: {exc!r}"
+                    ) from exc
+                crashes_left -= 1
                 casualties = sorted(inflight.values())
                 # Put the crashed window back at the head of the queue
                 # so recovery re-runs the oldest work first.

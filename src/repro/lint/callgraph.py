@@ -93,10 +93,10 @@ class ProjectIndex:
     """Symbol table over every parsed file in the run.
 
     Modules register under their scan-relative dotted name and, when
-    not already so prefixed, under ``repro.<name>`` — the same dual
-    registration the pickling trace uses, so the table works whether
-    the linter was pointed at ``src``, ``src/repro``, or a fixture
-    tree mimicking the package layout.
+    not already so prefixed, under ``repro.<name>``, so the table works
+    whether the linter was pointed at ``src``, ``src/repro``, or a
+    fixture tree mimicking the package layout. The pickling trace
+    resolves payload classes through it too.
     """
 
     def __init__(self, contexts: Sequence[FileContext]) -> None:

@@ -15,8 +15,9 @@ payload can transitively hold.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Iterator, List, Optional, Sequence, Set, Tuple
 
+from repro.lint.callgraph import ClassInfo, ProjectIndex, Symbol, project_graph
 from repro.lint.core import FileContext, Finding, Rule, register_rule
 
 #: Constructors whose results hold OS or thread state that ``pickle``
@@ -32,45 +33,6 @@ _HANDLE_ORIGINS = frozenset({
 })
 
 _STREAM_ORIGINS = frozenset({"sys.stdout", "sys.stderr", "sys.stdin"})
-
-
-def _dotted_module(rel_path: str) -> str:
-    """``fleet/work.py`` -> ``fleet.work`` (posix rel path assumed)."""
-    return rel_path[: -len(".py")].replace("/", ".")
-
-
-class _ModuleIndex:
-    """Resolves dotted module paths to parsed file contexts.
-
-    Registered under both the scan-relative dotted name and its
-    ``repro.``-prefixed form, so the trace works whether the linter was
-    pointed at ``src``, ``src/repro``, or a test fixture tree that
-    mimics the package layout without the top-level package directory.
-    """
-
-    def __init__(self, contexts: Sequence[FileContext]) -> None:
-        self._by_module: Dict[str, FileContext] = {}
-        for ctx in contexts:
-            if not ctx.rel_path.endswith(".py"):
-                continue
-            dotted = _dotted_module(ctx.rel_path)
-            self._by_module.setdefault(dotted, ctx)
-            if not dotted.startswith("repro."):
-                self._by_module.setdefault(f"repro.{dotted}", ctx)
-
-    def lookup(self, module: str) -> Optional[FileContext]:
-        ctx = self._by_module.get(module)
-        if ctx is None and module.startswith("repro."):
-            ctx = self._by_module.get(module[len("repro."):])
-        return ctx
-
-
-def _class_defs(ctx: FileContext) -> Dict[str, ast.ClassDef]:
-    return {
-        node.name: node
-        for node in ctx.tree.body
-        if isinstance(node, ast.ClassDef)
-    }
 
 
 #: Typing scaffolding and builtin containers: these name *shapes*, not
@@ -293,72 +255,37 @@ class PicklingSafetyRule(Rule):
     def check_project(
         self, contexts: Sequence[FileContext]
     ) -> Iterator[Finding]:
-        index = _ModuleIndex(contexts)
-        queue: List[Tuple[FileContext, ast.ClassDef]] = []
+        index = project_graph(contexts).index
+        queue: List[ClassInfo] = []
         for root in self.config.pickle_roots:
-            rel_suffix, _, class_name = root.partition("::")
-            rel_suffix = rel_suffix.removeprefix("repro/")
-            for ctx in contexts:
-                if ctx.rel_path.removeprefix("repro/") != rel_suffix:
-                    continue
-                node = _class_defs(ctx).get(class_name)
-                if node is not None:
-                    queue.append((ctx, node))
+            found = index.class_by_spec(root)
+            if found is not None:
+                queue.append(found)
         visited: Set[Tuple[str, str]] = set()
         while queue:
-            ctx, node = queue.pop()
-            key = (ctx.rel_path, node.name)
+            cls = queue.pop()
+            key = (cls.ctx.rel_path, cls.name)
             if key in visited:
                 continue
             visited.add(key)
-            yield from _audit_class(node, ctx)
-            queue.extend(self._referenced_classes(node, ctx, index))
+            yield from _audit_class(cls.node, cls.ctx)
+            queue.extend(_referenced_classes(cls, index))
 
-    def _referenced_classes(
-        self, node: ast.ClassDef, ctx: FileContext, index: _ModuleIndex
-    ) -> List[Tuple[FileContext, ast.ClassDef]]:
-        """Classes the payload's field annotations reach."""
-        local = _class_defs(ctx)
-        out: List[Tuple[FileContext, ast.ClassDef]] = []
-        for stmt in node.body:
-            if not isinstance(stmt, ast.AnnAssign):
-                continue
-            for kind, ref in _annotation_refs(stmt.annotation, ctx):
-                if kind == "bare":
-                    if ref in local:
-                        out.append((ctx, local[ref]))
-                        continue
-                    member = ctx.imports.members.get(ref)
-                    if member is None:
-                        continue
-                    module, original = member
-                    target_ctx = index.lookup(module)
-                    if target_ctx is None:
-                        continue
-                    target = _class_defs(target_ctx).get(original)
-                    if target is not None:
-                        out.append((target_ctx, target))
-                else:
-                    resolved = self._resolve_dotted(ref, index)
-                    if resolved is not None:
-                        out.append(resolved)
-        return out
 
-    @staticmethod
-    def _resolve_dotted(
-        dotted: str, index: _ModuleIndex
-    ) -> Optional[Tuple[FileContext, ast.ClassDef]]:
-        """``pkg.mod.Class`` -> its definition, longest module prefix
-        first (so ``fleet.work.ShardResult`` finds module
-        ``fleet.work`` even though ``fleet`` is also a package)."""
-        parts = dotted.split(".")
-        for cut in range(len(parts) - 1, 0, -1):
-            target_ctx = index.lookup(".".join(parts[:cut]))
-            if target_ctx is None:
-                continue
-            if cut != len(parts) - 1:
-                continue  # trailing attribute chain, not a class name
-            target = _class_defs(target_ctx).get(parts[-1])
-            if target is not None:
-                return (target_ctx, target)
-        return None
+def _referenced_classes(cls: ClassInfo, index: ProjectIndex) -> List[ClassInfo]:
+    """Classes the payload's field annotations reach: a bare name
+    resolves in the class's own module (a local class, or an import
+    followed through re-exports), a dotted one through the index."""
+    out: List[ClassInfo] = []
+    for stmt in cls.node.body:
+        if not isinstance(stmt, ast.AnnAssign):
+            continue
+        for kind, ref in _annotation_refs(stmt.annotation, cls.ctx):
+            target: Optional[Symbol] = (
+                index.resolve_dotted(ref)
+                if kind == "dotted"
+                else index.resolve_member(cls.module, ref)
+            )
+            if isinstance(target, ClassInfo):
+                out.append(target)
+    return out

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-from repro.games.base import FieldWrite, OutputCategory, ProcessingTrace
+from repro.games.base import FieldWrite, OutputCategory
 
 
 def weighted_coverage(
@@ -14,11 +14,6 @@ def weighted_coverage(
     if total_cycles <= 0:
         return 0.0
     return hit_cycles / total_cycles
-
-
-def trace_weight(trace: ProcessingTrace) -> int:
-    """The dynamic-instruction weight of one event's processing."""
-    return trace.total_cycles
 
 
 def writes_differ(

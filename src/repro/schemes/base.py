@@ -20,14 +20,16 @@ from repro.users.tracegen import generate_events, generate_trace
 
 @dataclass
 class SchemeRun:
-    """Result of one scheme session."""
+    """Result of one scheme session: its ledger and counters, not the
+    SoC that played it, so a run pickles to under a kilobyte."""
 
     scheme_name: str
     game_name: str
     seed: int
     duration_s: float
     report: EnergyReport
-    soc: Soc
+    #: Projected hours to drain a full battery at this session's power.
+    battery_hours: float
     #: Cycle-weighted fraction of execution the scheme short-circuited.
     coverage: float
     #: Fraction of events the scheme's table/cache hit (0 for baseline).
@@ -37,11 +39,6 @@ class SchemeRun:
     def average_watts(self) -> float:
         """Mean device power over the session."""
         return self.report.total_joules / self.duration_s
-
-    @property
-    def battery_hours(self) -> float:
-        """Projected hours to drain a full battery at this power."""
-        return self.soc.battery.hours_to_empty(self.average_watts)
 
     @property
     def lookup_overhead_fraction(self) -> float:
@@ -103,17 +100,16 @@ def run_scheme_session(
     game_name: str,
     seed: int = 0,
     duration_s: float = 60.0,
-    soc: Optional[Soc] = None,
 ) -> SchemeRun:
     """Run one full session under ``scheme`` and collect the ledger.
 
     Fast path: the events come from
     :func:`~repro.users.tracegen.generate_trace` (each materialised
-    exactly once) and the ledger — when the SoC is ours to build — is an
-    append-only :class:`~repro.soc.energy.ColumnarMeter` folded once at
-    report time. Reports are byte-identical to the scalar reference.
+    exactly once) and the ledger is an append-only
+    :class:`~repro.soc.energy.ColumnarMeter` folded once at report
+    time. Reports are byte-identical to the scalar reference.
     """
-    soc = soc or snapdragon_821(meter=ColumnarMeter())
+    soc = snapdragon_821(meter=ColumnarMeter())
     game = fresh_game(game_name, seed=GAME_CONTENT_SEED)
     runner = scheme.make_runner(soc, game)
     clock = 0.0
@@ -135,13 +131,14 @@ def _package_run(
     soc: Soc,
     runner,
 ) -> SchemeRun:
+    report = soc.report()
     return SchemeRun(
         scheme_name=scheme.name,
         game_name=game_name,
         seed=seed,
         duration_s=duration_s,
-        report=soc.report(),
-        soc=soc,
+        report=report,
+        battery_hours=soc.battery.hours_to_empty(report.total_joules / duration_s),
         coverage=runner.coverage,
         hit_rate=runner.hit_rate,
     )

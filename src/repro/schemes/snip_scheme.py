@@ -10,9 +10,6 @@ from repro.core.profiler import CloudProfiler, SnipPackage
 from repro.core.runtime import SnipRuntime
 from repro.errors import SchemeError
 from repro.games.base import Game
-from repro.registry.publish import publish_candidate
-from repro.registry.records import RegistryEntry
-from repro.registry.store import PackageRegistry
 from repro.schemes.base import Scheme
 from repro.soc.soc import Soc
 
@@ -50,7 +47,8 @@ class SnipScheme(Scheme):
     ``prepare`` runs the cloud profiler once per game; subsequent
     sessions reuse the shipped table (each session gets a *fresh copy*
     of the table so online learning in one run cannot leak into the
-    next).
+    next). The scheme always plays its own profile: packages reach a
+    registry through :func:`~repro.registry.publish.publish_candidate`.
     """
 
     name = "snip"
@@ -61,20 +59,11 @@ class SnipScheme(Scheme):
         profile_seeds: Sequence[int] = DEFAULT_PROFILE_SEEDS,
         profile_duration_s: float = DEFAULT_PROFILE_DURATION_S,
         cache: Union[PackageCache, None, str] = "auto",
-        registry: Optional[PackageRegistry] = None,
     ) -> None:
-        """``registry`` binds the scheme to a package registry.
-
-        With one, ``prepare`` serves the registered *champion* for a
-        game whenever the slot has one — the deployed package, not
-        whatever a fresh profiling run would produce — and only falls
-        back to profiling for games the registry has never judged.
-        """
         self.config = config or SnipConfig()
         self.profile_seeds = tuple(profile_seeds)
         self.profile_duration_s = profile_duration_s
         self.cache = cache
-        self.registry = registry
         self._packages: Dict[str, SnipPackage] = {}
 
     def prepare(self, game_name: str) -> SnipPackage:
@@ -83,46 +72,14 @@ class SnipScheme(Scheme):
         Caching is two-level: an in-memory per-scheme dict, then the
         profiler's content-addressed on-disk store (``cache``, forwarded
         to :class:`CloudProfiler`), so repeated ``prepare`` calls across
-        processes reuse one profiling run. A bound registry takes
-        precedence over both: its champion *is* the shipped package.
+        processes reuse one profiling run.
         """
         if game_name not in self._packages:
-            if self.registry is not None:
-                champion = self.registry.load_state(
-                    game_name, self.config
-                ).champion()
-                if champion is not None:
-                    self._packages[game_name] = self.registry.load_package(
-                        champion
-                    )
-                    return self._packages[game_name]
             profiler = CloudProfiler(self.config, cache=self.cache)
             self._packages[game_name] = profiler.build_package_from_sessions(
                 game_name, seeds=self.profile_seeds, duration_s=self.profile_duration_s
             )
         return self._packages[game_name]
-
-    def publish(self, game_name: str, measure_energy: bool = True) -> RegistryEntry:
-        """Register this scheme's profile as a candidate package.
-
-        Profiles with the scheme's seeds/duration through the bound
-        registry's cache, measures the gated metrics, and publishes; the
-        candidate still has to win the promotion pass before
-        ``prepare`` (or any fleet) will serve it.
-        """
-        if self.registry is None:
-            raise SchemeError(
-                "SnipScheme has no registry bound; pass registry= to publish"
-            )
-        entry, package, _ = publish_candidate(
-            self.registry,
-            game_name,
-            seeds=self.profile_seeds,
-            duration_s=self.profile_duration_s,
-            config=self.config,
-            measure_energy=measure_energy,
-        )
-        return entry
 
     def package_for(self, game_name: str) -> SnipPackage:
         """The prepared package (raises if ``prepare`` never ran)."""

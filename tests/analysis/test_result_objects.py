@@ -9,9 +9,9 @@ from repro.analysis.fig11_energy_benefits import Fig11Result, GameComparison
 from repro.analysis.fig12_continuous_learning import Fig12Result
 from repro.core.learning import EpochResult
 from repro.schemes.base import SchemeRun
+from repro.soc.battery import Battery
 from repro.soc.component import ComponentGroup
 from repro.soc.energy import EnergyMeter
-from repro.soc.soc import snapdragon_821
 
 
 def scheme_run(name, joules, coverage=0.5, lookup=0.0):
@@ -25,7 +25,7 @@ def scheme_run(name, joules, coverage=0.5, lookup=0.0):
         seed=1,
         duration_s=10.0,
         report=meter.report(),
-        soc=snapdragon_821(),
+        battery_hours=Battery().hours_to_empty(joules / 10.0),
         coverage=coverage,
         hit_rate=coverage,
     )

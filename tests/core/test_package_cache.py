@@ -10,7 +10,6 @@ from repro.core.package_cache import (
     PackageCache,
     code_digest,
     default_cache_root,
-    default_package_cache,
     package_digest,
 )
 from repro.core.profiler import CloudProfiler, SnipPackage
@@ -138,12 +137,6 @@ class TestCacheConfiguration:
     def test_env_overrides_cache_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_SNIP_CACHE_DIR", str(tmp_path / "elsewhere"))
         assert default_cache_root() == tmp_path / "elsewhere"
-
-    def test_opt_out_disables_default_cache(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SNIP_NO_CACHE", "1")
-        assert default_package_cache() is None
-        monkeypatch.delenv("REPRO_SNIP_NO_CACHE")
-        assert default_package_cache() is not None
 
     def test_profiler_cache_none_disables(self):
         assert CloudProfiler(cache=None).cache is None

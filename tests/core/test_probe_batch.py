@@ -1,15 +1,13 @@
-"""Batched table probing equals the scalar key-build + lookup loop.
+"""Compiled probe keys equal the uncompiled reference.
 
-``SnipRuntime.probe_batch`` groups a session by event type, builds each
-type's key column with the compiled field readers, and gathers entries
-through ``SnipTable.lookup_batch``; ``session_keys`` precomputes the
-state-independent keys ``deliver`` accepts. Both must match the scalar
-``live_key_reference`` + ``lookup`` path exactly, entry for entry.
+``SnipRuntime.live_key`` reads an event's key through field readers
+compiled at install time, and ``session_keys`` precomputes the
+state-independent keys ``deliver`` accepts. Both must match
+``live_key_reference`` exactly.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.core.config import SnipConfig
@@ -39,22 +37,17 @@ def probe_setup():
     return runtime, package.table, events
 
 
-def test_probe_batch_matches_scalar_loop(probe_setup):
+def test_live_key_matches_reference_on_every_known_event(probe_setup):
+    # candy_crush's selection reads state fields, so this is the key
+    # check over history readers as well as event ones.
     runtime, table, events = probe_setup
-    keys, entries, hit_mask = runtime.probe_batch(events)
-    assert len(keys) == len(entries) == len(events)
-    assert hit_mask.dtype == np.bool_ and hit_mask.shape == (len(events),)
     checked_hits = 0
-    for event, key, entry, hit in zip(events, keys, entries, hit_mask):
+    for event in events:
         if not table.knows(event.event_type):
-            assert key is None and entry is None and not hit
             continue
-        scalar_key = runtime.live_key_reference(event)
-        assert key == scalar_key
-        scalar_entry = table.lookup(event.event_type, scalar_key)
-        assert entry is scalar_entry
-        assert bool(hit) == (scalar_entry is not None)
-        checked_hits += bool(hit)
+        key = runtime.live_key(event)
+        assert key == runtime.live_key_reference(event)
+        checked_hits += table.lookup(event.event_type, key) is not None
     assert checked_hits > 100  # the session actually exercised the table
 
 
@@ -87,10 +80,3 @@ def test_session_keys_all_none_for_state_keyed_games(probe_setup):
     # for the whole session; deliver must fall back to live reads.
     runtime, _, events = probe_setup
     assert runtime.session_keys(events) == [None] * len(events)
-
-
-def test_probe_batch_empty_session(probe_setup):
-    runtime, _, _ = probe_setup
-    keys, entries, hit_mask = runtime.probe_batch([])
-    assert keys == [] and entries == []
-    assert hit_mask.shape == (0,)

@@ -19,10 +19,8 @@ class InterruptingExecutor(SerialExecutor):
     def __init__(self, limit: int) -> None:
         self.limit = limit
 
-    def stream(self, fn, payloads, telemetry=None, retry_budget=3):
-        inner = super().stream(
-            fn, payloads, telemetry=telemetry, retry_budget=retry_budget
-        )
+    def stream(self, fn, payloads, telemetry=None):
+        inner = super().stream(fn, payloads, telemetry=telemetry)
         for count, item in enumerate(inner):
             if count >= self.limit:
                 raise KeyboardInterrupt("simulated interrupt")

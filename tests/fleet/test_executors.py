@@ -1,8 +1,8 @@
-"""Executor contract: ordering, retries, budgets, and pool recovery.
+"""Executor contract: ordering, error propagation, and pool recovery.
 
 The worker functions live at module level so the process pool can
-pickle them; the flaky ones coordinate through marker files because a process
-pool cannot share in-memory state with the test.
+pickle them; the failing ones coordinate through marker files because a
+process pool cannot share in-memory state with the test.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import time
 import pytest
 
 from repro.errors import FleetError, WorkerCrashError
+from repro.fleet import executors
 from repro.fleet.executors import (
     PREFETCH,
     QueueFleetExecutor,
@@ -32,27 +33,20 @@ def _slow_square(payload):
     return value * value
 
 
-def _always_fails(value):
+def _always_fails(payload):
+    """Raise on every call, logging one line per call to a marker file."""
+    value, marker_dir = payload
+    with open(marker_dir / f"calls_{value}", "a") as log:
+        log.write("called\n")
     raise ValueError(f"payload {value} is cursed")
 
 
-def _flaky(payload):
-    """Fail the first time each payload is seen, succeed after."""
-    value, marker_dir = payload
-    marker = marker_dir / f"seen_{value}"
-    if not marker.exists():
-        marker.write_text("attempted")
-        raise RuntimeError(f"first attempt at {value}")
-    return value * value
-
-
-def _fail_once(payload):
-    """Raise the first time a marked payload is seen, succeed after."""
-    value, marker = payload
-    if marker is not None and not marker.exists():
-        marker.write_text("attempted")
-        raise RuntimeError(f"first attempt at {value}")
-    return value * value
+def _calls(marker_dir):
+    """How many times ``_always_fails`` ran, over every payload."""
+    return sum(
+        len(path.read_text().splitlines())
+        for path in marker_dir.glob("calls_*")
+    )
 
 
 def _crash_once(payload):
@@ -94,15 +88,17 @@ def test_serial_returns_results_in_payload_order():
     assert SerialExecutor().run(_square, [3, 1, 2]) == [9, 1, 4]
 
 
-def test_serial_retries_and_counts_failures(tmp_path):
-    executor = SerialExecutor()
+def test_serial_raises_the_payload_error_without_retry(tmp_path):
+    # A payload is a pure function of its input: a retry would raise
+    # the same error again, so it surfaces at once, as itself.
     telemetry = TelemetryBus()
-    results = executor.run(
-        _flaky, [(2, tmp_path), (5, tmp_path)], telemetry=telemetry
-    )
-    assert results == [4, 25]
-    assert telemetry.counters.worker_failures == 2
-    assert telemetry.counters.retries == 2
+    with pytest.raises(ValueError, match="payload 1 is cursed"):
+        SerialExecutor().run(
+            _always_fails, [(1, tmp_path), (2, tmp_path)], telemetry=telemetry
+        )
+    assert _calls(tmp_path) == 1
+    assert telemetry.counters.worker_failures == 0
+    assert telemetry.counters.retries == 0
 
 
 def test_shard_finished_carries_parent_measured_wall_time():
@@ -117,17 +113,6 @@ def test_shard_finished_carries_parent_measured_wall_time():
     assert len(finished) == 2
     for event in finished:
         assert event.payload["wall_s"] >= 0.0
-
-
-def test_serial_raises_when_budget_exhausted():
-    executor = SerialExecutor()
-    with pytest.raises(WorkerCrashError, match="retry budget exhausted"):
-        executor.run(_always_fails, [1], retry_budget=2)
-
-
-def test_negative_budget_rejected():
-    with pytest.raises(FleetError):
-        SerialExecutor().run(_square, [1], retry_budget=-1)
 
 
 def test_queue_executor_window_bounds_submission():
@@ -166,21 +151,19 @@ def test_queue_window_holds_behind_a_slow_head():
 
 
 def test_queue_window_holds_behind_a_retried_head(tmp_path):
-    # A failed payload goes back to the head of the backlog, so the
-    # retry runs before any index past the window is submitted.
-    payloads = [(0, tmp_path / "failed")] + [
+    # The worker running the oldest payload dies: the rebuilt pool gets
+    # it back at the head of the backlog, so the retry runs before any
+    # index past the window is submitted.
+    payloads = [(0, tmp_path / "crashed")] + [
         (value, None) for value in range(1, 24)
     ]
     telemetry = TelemetryBus()
     results = _stream_within_window(
-        QueueFleetExecutor(jobs=2),
-        _fail_once,
-        payloads,
-        telemetry=telemetry,
-        retry_budget=1,
+        QueueFleetExecutor(jobs=2), _crash_once, payloads, telemetry=telemetry
     )
     assert results == {value: value * value for value in range(24)}
-    assert telemetry.counters.retries == 1
+    assert telemetry.counters.worker_failures == 1
+    assert telemetry.counters.retries >= 1
 
 
 def test_queue_executor_emits_queue_depth_within_window():
@@ -197,24 +180,17 @@ def test_queue_executor_emits_queue_depth_within_window():
     assert telemetry.counters.peak_queue_depth == max(depths)
 
 
-def test_queue_executor_retries_worker_exceptions(tmp_path):
-    executor = QueueFleetExecutor(jobs=2)
+def test_queue_executor_raises_the_payload_error_without_retry(tmp_path):
+    # Both payloads fail; completion order decides which error the
+    # worker pool reports first, and neither is run a second time.
     telemetry = TelemetryBus()
-    results = executor.run(
-        _flaky,
-        [(2, tmp_path), (3, tmp_path), (4, tmp_path)],
-        telemetry=telemetry,
-        retry_budget=3,
-    )
-    assert results == [4, 9, 16]
-    assert telemetry.counters.worker_failures == 3
-    assert telemetry.counters.retries == 3
-
-
-def test_queue_executor_raises_when_budget_exhausted():
-    executor = QueueFleetExecutor(jobs=2)
-    with pytest.raises(WorkerCrashError, match="retry budget exhausted"):
-        executor.run(_always_fails, [1, 2], retry_budget=1)
+    with pytest.raises(ValueError, match="payload [12] is cursed"):
+        QueueFleetExecutor(jobs=2).run(
+            _always_fails, [(1, tmp_path), (2, tmp_path)], telemetry=telemetry
+        )
+    assert _calls(tmp_path) <= 2
+    assert telemetry.counters.worker_failures == 0
+    assert telemetry.counters.retries == 0
 
 
 def test_queue_executor_recovers_every_payload_from_a_pool_crash(tmp_path):
@@ -231,8 +207,7 @@ def test_queue_executor_recovers_every_payload_from_a_pool_crash(tmp_path):
     assert telemetry.counters.worker_failures == 1
 
 
-def test_queue_executor_pool_crash_spends_the_retry_budget(tmp_path):
+def test_queue_executor_pool_crash_spends_the_retry_budget(tmp_path, monkeypatch):
+    monkeypatch.setattr(executors, "DEFAULT_RETRY_BUDGET", 0)
     with pytest.raises(WorkerCrashError, match="retry budget exhausted"):
-        QueueFleetExecutor(jobs=2).run(
-            _crash_once, _crash_payloads(tmp_path), retry_budget=0
-        )
+        QueueFleetExecutor(jobs=2).run(_crash_once, _crash_payloads(tmp_path))

@@ -38,12 +38,8 @@ class ReversingExecutor(SerialExecutor):
     """Serial executor that reports results in *reverse* completion
     order — the worst case for the engine's reorder buffer."""
 
-    def stream(self, fn, payloads, telemetry=None, retry_budget=3):
-        collected = list(
-            super().stream(
-                fn, payloads, telemetry=telemetry, retry_budget=retry_budget
-            )
-        )
+    def stream(self, fn, payloads, telemetry=None):
+        collected = list(super().stream(fn, payloads, telemetry=telemetry))
         yield from reversed(collected)
 
 
@@ -53,10 +49,8 @@ class InterruptingExecutor(SerialExecutor):
     def __init__(self, limit: int) -> None:
         self.limit = limit
 
-    def stream(self, fn, payloads, telemetry=None, retry_budget=3):
-        inner = super().stream(
-            fn, payloads, telemetry=telemetry, retry_budget=retry_budget
-        )
+    def stream(self, fn, payloads, telemetry=None):
+        inner = super().stream(fn, payloads, telemetry=telemetry)
         for count, item in enumerate(inner):
             if count >= self.limit:
                 raise KeyboardInterrupt("simulated interrupt")
@@ -73,14 +67,9 @@ def _run_shard_slow_head(task):
 class SlowHeadQueueExecutor(QueueFleetExecutor):
     """Pool executor whose first shard completes after the others."""
 
-    def stream(self, fn, payloads, telemetry=None, retry_budget=3):
+    def stream(self, fn, payloads, telemetry=None):
         assert fn is run_shard
-        return super().stream(
-            _run_shard_slow_head,
-            payloads,
-            telemetry=telemetry,
-            retry_budget=retry_budget,
-        )
+        return super().stream(_run_shard_slow_head, payloads, telemetry=telemetry)
 
 
 @pytest.fixture(scope="module")

@@ -35,17 +35,16 @@ def test_shipped_tree_has_zero_findings():
 
 def test_known_intentional_suppressions_are_counted():
     result = lint_paths([PACKAGE_DIR])
-    # The TelemetryBus default clock, the package cache's two
-    # configuration env reads (core/package_cache.py: cache dir
-    # override + opt-out), and the registry root override
+    # The TelemetryBus default clock, the package cache's directory
+    # override (core/package_cache.py) and the registry root override
     # (registry/store.py) — configuration reads that steer where
-    # results land, never what is computed — are the four sanctioned
+    # results land, never what is computed — are the three sanctioned
     # exceptions today.  (fleet/work.py's two wall-clock suppressions
     # were retired when the taint pass showed the timing field made
     # checkpointed shard results byte-unstable; wall time is now
     # measured executor-side.)  If you add one, justify it next to the
     # suppression comment and bump this.
-    assert result.suppressed == 4
+    assert result.suppressed == 3
     # The hygiene pass must agree that every surviving suppression
     # still silences something.
     assert result.unused_suppressions == []

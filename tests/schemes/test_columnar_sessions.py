@@ -42,20 +42,22 @@ SCHEME_CLASSES = (
     "scheme_cls", SCHEME_CLASSES, ids=[cls.__name__ for cls in SCHEME_CLASSES]
 )
 def test_scheme_session_matches_reference(scheme_cls):
+    """Same pickled bytes, and small: a run holds its ledger and
+    counters, not the SoC that played it."""
     batched_scheme = scheme_cls()
     reference_scheme = scheme_cls()
     batched_scheme.prepare("candy_crush")
     reference_scheme.prepare("candy_crush")
-    batched = run_scheme_session(
-        batched_scheme, "candy_crush", seed=3, duration_s=5.0
+    batched = pickle.dumps(
+        run_scheme_session(batched_scheme, "candy_crush", seed=3, duration_s=5.0)
     )
-    reference = run_scheme_session_reference(
-        reference_scheme, "candy_crush", seed=3, duration_s=5.0
+    reference = pickle.dumps(
+        run_scheme_session_reference(
+            reference_scheme, "candy_crush", seed=3, duration_s=5.0
+        )
     )
-    assert batched.report == reference.report
-    assert batched.coverage == reference.coverage
-    assert batched.hit_rate == reference.hit_rate
-    assert batched.scheme_name == reference.scheme_name
+    assert batched == reference
+    assert len(batched) < 2048, len(batched)
 
 
 def test_baseline_session_matches_reference():
