@@ -42,11 +42,6 @@ class EventTypeProfile:
     dataset: Dataset
 
     @property
-    def session_count(self) -> int:
-        """Distinct recorded sessions contributing to this profile."""
-        return len({record.session for record in self.records})
-
-    @property
     def total_cycles(self) -> float:
         """Cycle mass of this event type (aggregation weight)."""
         return float(sum(record.trace.total_cycles for record in self.records))

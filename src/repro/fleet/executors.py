@@ -143,7 +143,9 @@ class QueueFleetExecutor(FleetExecutor):
     the smallest index whose result has not been yielded — so neither
     the futures table nor a consumer's reorder buffer grows with the
     sweep size, however slow the oldest payload runs. An exception a
-    payload raises in its worker is re-raised here as itself. A pool
+    payload raises in its worker is re-raised here as itself, as soon
+    as it arrives: the queued payloads are cancelled and the workers
+    stopped, without waiting for the payloads still running. A pool
     crash (a worker killed outright) rebuilds the pool and puts every
     payload submitted to the dead pool without a yielded result back at
     the head of the backlog (the anchor cannot pass them until they are
@@ -206,8 +208,16 @@ class QueueFleetExecutor(FleetExecutor):
                             )
                         done, _ = wait(inflight, return_when=FIRST_COMPLETED)
                         for future in done:
-                            # A worker's own exception propagates as
-                            # itself; BrokenProcessPool leaves the pool.
+                            # A payload's own exception recurs on any
+                            # retry: stop the workers so it surfaces
+                            # now, not after the pool's exit has waited
+                            # out the window. BrokenProcessPool leaves
+                            # the pool to be rebuilt.
+                            error = future.exception()
+                            if error is not None and not isinstance(
+                                error, BrokenProcessPool
+                            ):
+                                _stop_workers(pool)
                             result = future.result()
                             index, label, started = inflight.pop(future)
                             wall_s = (
@@ -236,6 +246,21 @@ class QueueFleetExecutor(FleetExecutor):
                     telemetry.emit(WORKER_FAILURE, error="process pool crashed")
                     for _, label, _ in casualties:
                         telemetry.emit(SHARD_RETRIED, shard_index=label)
+
+
+def _stop_workers(pool: ProcessPoolExecutor) -> None:
+    """Cancel ``pool``'s queued work and end its workers at once.
+
+    What ``ProcessPoolExecutor.terminate_workers`` does on Python 3.14:
+    shut down without waiting, then terminate each worker still running
+    a payload, here also reaping it.
+    """
+    workers = list((pool._processes or {}).values())
+    pool.shutdown(wait=False, cancel_futures=True)
+    for worker in workers:
+        worker.terminate()
+    for worker in workers:
+        worker.join()
 
 
 def _announce(

@@ -74,6 +74,13 @@ class HardwareComponent:
         cost that makes naive Max-IP sleeping non-free.
     """
 
+    #: Counts the power-state changes of every component in the
+    #: process. After construction :meth:`transition` is the only code
+    #: that writes ``_state``, and it bumps this, so a
+    #: :class:`~repro.soc.soc.Soc` can cache a view of its components'
+    #: states and recompute it only when the epoch has moved.
+    power_epoch = 0
+
     def __init__(
         self,
         name: str,
@@ -124,6 +131,7 @@ class HardwareComponent:
             self._wake_count += 1
             self.charge(self.wake_energy_joules, tag=tag)
         self._state = target
+        HardwareComponent.power_epoch += 1
 
     def sleep(self, tag: str = "event") -> None:
         """Convenience: drop to SLEEP (from IDLE or ACTIVE via IDLE)."""

@@ -151,6 +151,78 @@ def charge_key_id(component: str, group: ComponentGroup, tag: str) -> int:
     return key_id
 
 
+#: Process-wide interning of idle-accrual patterns: the ``(key ids,
+#: watts)`` of one power-state configuration's idle charges, in id
+#: order. A pattern id must mean the same pattern in every meter,
+#: because recorded charge patterns (and any idle record in them) are
+#: poured into many.
+_PATTERN_IDS: Dict[Tuple[Tuple[int, ...], Tuple[float, ...]], int] = {}
+#: The interned patterns flattened into ``(lengths, starts, key ids,
+#: watts)`` arrays; emptied whenever a pattern is interned.
+_PATTERN_COLUMNS: List[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
+
+
+def idle_pattern_id(key_ids: Tuple[int, ...], watts: Tuple[float, ...]) -> int:
+    """Intern one idle-accrual pattern for :meth:`ColumnarMeter.accrue`.
+
+    ``key_ids`` come from :func:`charge_key_id`; ``watts`` are the
+    matching background draws, charged ``watts * seconds`` each.
+    """
+    pattern = (key_ids, watts)
+    pattern_id = _PATTERN_IDS.get(pattern)
+    if pattern_id is None:
+        pattern_id = _PATTERN_IDS[pattern] = len(_PATTERN_IDS)
+        _PATTERN_COLUMNS.clear()
+    return pattern_id
+
+
+def _pattern_columns() -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every interned pattern, flattened; built once per new pattern."""
+    if not _PATTERN_COLUMNS:
+        lengths = np.array([len(ids) for ids, _ in _PATTERN_IDS], dtype=np.int64)
+        starts = np.cumsum(lengths) - lengths
+        key_ids = np.array(
+            [key_id for ids, _ in _PATTERN_IDS for key_id in ids], dtype=np.int64
+        )
+        watts = np.array(
+            [power for _, powers in _PATTERN_IDS for power in powers], dtype=np.float64
+        )
+        _PATTERN_COLUMNS.append((lengths, starts, key_ids, watts))
+    return _PATTERN_COLUMNS[0]
+
+
+def _expand_idle(
+    key_ids: np.ndarray, values: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Expand every idle record in place into its pattern's charges.
+
+    An idle record (key id ``-1 - pattern id``, amount ``seconds``)
+    becomes the pattern's charges, ``watts * seconds`` each: a float64
+    product in numpy is the IEEE product Python computes, so each
+    charge has the bits and the position that appending it one by one
+    would have given it. Other records are multiplied by 1.0, which
+    leaves every float as it was.
+    """
+    markers = np.flatnonzero(key_ids < 0)
+    if not len(markers):
+        return key_ids, values
+    lengths, starts, pattern_keys, pattern_watts = _pattern_columns()
+    patterns = -1 - key_ids[markers]
+    counts = np.ones(len(key_ids), dtype=np.int64)
+    counts[markers] = lengths[patterns]
+    ends = np.cumsum(counts)
+    # Each record's first row in a table of the flattened patterns
+    # followed by the records themselves (key, multiplier 1.0); output
+    # slot ``s`` of a record starting at slot ``ends - counts`` reads
+    # row ``first + s - (ends - counts)``.
+    first = np.arange(len(pattern_keys), len(pattern_keys) + len(key_ids))
+    first[markers] = starts[patterns]
+    rows = np.repeat(first - (ends - counts), counts) + np.arange(ends[-1])
+    table_keys = np.concatenate((pattern_keys, key_ids))
+    table_watts = np.concatenate((pattern_watts, np.ones(len(values))))
+    return table_keys[rows], table_watts[rows] * np.repeat(values, counts)
+
+
 def _axis_fold(
     dense: np.ndarray,
     first_order: np.ndarray,
@@ -162,9 +234,9 @@ def _axis_fold(
     ``dense`` holds each record's index into the fold's distinct key
     ids, ``first_order`` those indices in first-charge order, and
     ``axis_of`` each distinct key's axis key (component name, group,
-    tag, or group-tag pair). Every axis key's charges are folded with a
-    sequential ``np.add.accumulate`` over the records in arrival order
-    — the same left-to-right float additions ``EnergyMeter.charge``
+    tag, or group-tag pair). One unbuffered ``np.add.at`` walks the
+    records in arrival order and adds each into its axis key's sum from
+    0.0 — the same left-to-right float additions ``EnergyMeter.charge``
     performs — and keys are inserted in first-charge order, so
     ``dict(...)`` snapshots (and therefore pickles) are byte-identical
     to the scalar ledger's.
@@ -180,21 +252,21 @@ def _axis_fold(
         if axis_index is None:
             axis_index = axis_indices[axis_key] = len(axis_indices)
         table[index] = axis_index
-    translated = table[dense]
-    return {
-        axis_key: float(np.add.accumulate(values[translated == axis_index])[-1])
-        for axis_key, axis_index in axis_indices.items()
-    }
+    sums = np.zeros(len(axis_indices), dtype=np.float64)
+    np.add.at(sums, table[dense], values)
+    return dict(zip(axis_indices, sums.tolist()))
 
 
 class ColumnarMeter(EnergyMeter):
     """Append-only energy ledger with a vectorized grouped fold.
 
     ``charge`` records ``(key id, joules)`` instead of updating four
-    dicts; totals are folded lazily — per axis, with masked sequential
-    ``np.add.accumulate`` sums in record order — so every float result
-    and every dict insertion order is bit-identical to an
-    :class:`EnergyMeter` fed the same charges.
+    dicts, and :meth:`accrue` records a whole idle interval as one
+    ``(-1 - pattern id, seconds)`` record. Totals are folded lazily:
+    idle records are expanded in place into their patterns' charges,
+    then each axis is summed with one in-order ``np.add.at`` pass, so
+    every float result and every dict insertion order is bit-identical
+    to an :class:`EnergyMeter` fed the same charges.
 
     A :class:`~repro.soc.soc.Soc` built on this meter also writes into
     the record columns without going through its components: idle
@@ -237,42 +309,60 @@ class ColumnarMeter(EnergyMeter):
         self._values.append(joules)
 
     def extend(self, key_ids: Sequence[int], values: Sequence[float]) -> None:
-        """Append parallel columns of precomputed charges, unchecked.
+        """Append parallel columns of precomputed records, unchecked.
 
         Callers guarantee every value is positive: the static patterns
         of :func:`repro.android.dispatch.delivery_upkeep_pattern` are
         recorded from real scalar charge sequences, which carry no zero
-        or negative charges, and :meth:`repro.soc.soc.Soc.advance_time`
-        falls back to its component walk whenever an idle charge would
-        come out zero.
+        or negative charges, and a pattern taken with
+        :meth:`records_since` holds only records a meter accepted (idle
+        records included, whose pattern ids mean the same in every
+        meter).
         """
         self._key_ids.extend(key_ids)
         self._values.extend(values)
 
+    def accrue(self, pattern_id: int, seconds: float) -> None:
+        """Record an idle interval: ``watts * seconds`` for every charge
+        of the pattern :func:`idle_pattern_id` interned, as one record.
+
+        Unchecked, like :meth:`extend`: the caller guarantees every
+        product is positive (see :meth:`repro.soc.soc.Soc.advance_time`).
+        """
+        self._key_ids.append(-1 - pattern_id)
+        self._values.append(seconds)
+
     @property
     def record_count(self) -> int:
-        """How many charges the columns hold."""
+        """How many records the columns hold (an idle interval is one)."""
         return len(self._values)
 
     def records_since(self, start: int) -> Tuple[Tuple[int, ...], Tuple[float, ...]]:
-        """The charges appended after the first ``start``, ready for :meth:`extend`."""
+        """The records appended after the first ``start``, ready for :meth:`extend`."""
         return tuple(self._key_ids[start:]), tuple(self._values[start:])
 
     # -- folded views ---------------------------------------------------
+
+    def _columns(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The records as arrays, each idle record expanded in place."""
+        count = len(self._values)
+        return _expand_idle(
+            np.fromiter(self._key_ids, np.int64, count),
+            np.fromiter(self._values, np.float64, count),
+        )
 
     def _folded(self) -> EnergyReport:
         count = len(self._values)
         cached_count, cached = self._fold_cache
         if cached_count == count:
             return cached
-        if count == 0:
+        key_ids, values = self._columns()
+        if not len(values):
             report = EnergyReport(
                 total_joules=0.0, by_component={}, by_group={},
                 by_tag={}, by_group_and_tag={},
             )
         else:
-            key_ids = np.asarray(self._key_ids, dtype=np.int64)
-            values = np.asarray(self._values, dtype=np.float64)
             # The fold's one sort: the distinct key ids, each record's
             # index into them, and each id's first record. Every axis
             # derives its first-charge order from this.
@@ -303,17 +393,15 @@ class ColumnarMeter(EnergyMeter):
     def total_joules(self) -> float:
         """The grand total alone, without folding the four axes.
 
-        The same sequential ``np.add.accumulate`` over the records in
-        arrival order that :meth:`report` runs, so the same float.
+        The same sequential ``np.add.accumulate`` over the expanded
+        records in arrival order that :meth:`report` runs, so the same
+        float.
         """
         count = len(self._values)
         cached_count, total = self._total_cache
         if cached_count != count:
-            total = (
-                float(np.add.accumulate(np.asarray(self._values, dtype=np.float64))[-1])
-                if count
-                else 0.0
-            )
+            values = self._columns()[1]
+            total = float(np.add.accumulate(values)[-1]) if len(values) else 0.0
             self._total_cache = (count, total)
         return total
 

@@ -23,6 +23,7 @@ from repro.soc.energy import (
     EnergyMeter,
     EnergyReport,
     charge_key_id,
+    idle_pattern_id,
 )
 from repro.soc.ip import (
     AudioCodec,
@@ -65,13 +66,20 @@ SENSOR_CAMERA = "camera"
 PLATFORM_FLOOR = "platform_floor"
 
 #: Every component's power state in one C-level pass: the idle-pattern
-#: cache key of :meth:`Soc.advance_time`.
+#: cache key of :meth:`Soc._power_view`.
 _STATE_OF = attrgetter("_state")
 
-#: One power-state configuration's idle accrual: the key id and
-#: background watts of every charge the component walk would make, and
-#: the smallest of those watts (``inf`` when there are none).
-_IdlePattern = Tuple[Tuple[int, ...], Tuple[float, ...], float]
+#: One power-state configuration's idle accrual: the pattern id
+#: (:func:`~repro.soc.energy.idle_pattern_id`) of every charge the
+#: component walk would make, and the smallest of their watts (``inf``
+#: when there are none).
+_IdlePattern = Tuple[int, float]
+
+#: A SoC's cached power view: the
+#: :attr:`~repro.soc.component.HardwareComponent.power_epoch` it was
+#: taken at, whether every component was IDLE, and the idle pattern of
+#: the components' states.
+_PowerView = Tuple[int, bool, _IdlePattern]
 
 
 class Soc:
@@ -100,15 +108,16 @@ class Soc:
         self.profiles = profiles
         self._elapsed_seconds = 0.0
         #: A columnar meter takes charges straight into its record
-        #: columns: idle accrual as one cached pattern per power-state
-        #: configuration, and CPU, DRAM and IP work charged to an IDLE
-        #: component without walking the component object.
+        #: columns: idle accrual as one record per interval, and CPU,
+        #: DRAM and IP work charged to an IDLE component without walking
+        #: the component object.
         self._ledger: Optional[ColumnarMeter] = (
             meter if isinstance(meter, ColumnarMeter) else None
         )
         self._components = tuple(self.all_components().values())
         self._all_idle = (PowerState.IDLE,) * len(self._components)
         self._idle_patterns: Dict[Tuple[PowerState, ...], _IdlePattern] = {}
+        self._view: _PowerView = (-1, False, (-1, math.inf))
         #: Direct charges' key ids by ``(component, tag)``: interning
         #: through :func:`charge_key_id` hashes the group enum per call.
         self._key_ids: Dict[Tuple[str, str], int] = {}
@@ -133,9 +142,29 @@ class Soc:
         """Whether every component is IDLE: none asleep, off or active.
 
         Static charge patterns recorded on IDLE components replay
-        exactly only while this holds.
+        exactly only while this holds. Read from the cached power view
+        (see :meth:`_power_view`), which is retaken only after a
+        component changed power state.
         """
-        return tuple(map(_STATE_OF, self._components)) == self._all_idle
+        view = self._view
+        if view[0] != HardwareComponent.power_epoch:
+            view = self._power_view()
+        return view[1]
+
+    def _power_view(self) -> _PowerView:
+        """Retake the power view at the current power epoch.
+
+        The idle pattern depends only on the tuple of power states, so
+        it is cached per tuple: Max IP's sleeping blocks get their own.
+        """
+        states = tuple(map(_STATE_OF, self._components))
+        pattern = self._idle_patterns.get(states)
+        if pattern is None:
+            pattern = self._idle_patterns[states] = self._idle_pattern()
+        view = self._view = (
+            HardwareComponent.power_epoch, states == self._all_idle, pattern
+        )
+        return view
 
     def ip(self, name: str) -> IpBlock:
         """Look up an IP block by canonical name."""
@@ -166,7 +195,10 @@ class Soc:
 
         The platform floor (PMIC, rails, modem standby) is charged to a
         pseudo-component so the idle-phone battery-life figure includes
-        consumers we do not model individually.
+        consumers we do not model individually. On a columnar SoC the
+        interval is one :meth:`~repro.soc.energy.ColumnarMeter.accrue`
+        record of the power view's idle pattern, which the meter expands
+        into the component walk's charges when it folds.
         """
         if seconds < 0:
             raise SimulationError(f"cannot advance time by {seconds} s")
@@ -184,26 +216,24 @@ class Soc:
         self._elapsed_seconds += seconds
 
     def _accrue_pattern(self, seconds: float) -> bool:
-        """Append the component walk's idle charges in one go.
+        """Record the component walk's idle charges as one interval.
 
         The walk charges ``watts * seconds`` for every component whose
         power state draws, then the platform floor, skipping zero
-        charges. That sequence depends only on the tuple of power
-        states, so it is cached per tuple. Returns False, charging
-        nothing, when any charge would not come out positive (a ``dt``
-        so small that it underflows, or a negative floor that must
-        raise): the caller then walks the components instead.
+        charges. Returns False, charging nothing, when any charge would
+        not come out positive (a ``dt`` so small that it underflows, or
+        a negative floor that must raise): the caller then walks the
+        components instead.
         """
-        states = tuple(map(_STATE_OF, self._components))
-        pattern = self._idle_patterns.get(states)
-        if pattern is None:
-            pattern = self._idle_patterns[states] = self._idle_pattern()
-        key_ids, watts, least = pattern
+        view = self._view
+        if view[0] != HardwareComponent.power_epoch:
+            view = self._power_view()
+        pattern_id, least = view[2]
         # ``watts * seconds`` rises with ``watts``: if the smallest
         # product is positive, every product is.
         if not least * seconds > 0:
             return False
-        self._ledger.extend(key_ids, [power * seconds for power in watts])
+        self._ledger.accrue(pattern_id, seconds)
         return True
 
     def _idle_pattern(self) -> _IdlePattern:
@@ -219,7 +249,10 @@ class Soc:
         if floor != 0:
             key_ids.append(charge_key_id(PLATFORM_FLOOR, ComponentGroup.IP, TAG_IDLE))
             watts.append(floor)
-        return tuple(key_ids), tuple(watts), min(watts, default=math.inf)
+        return (
+            idle_pattern_id(tuple(key_ids), tuple(watts)),
+            min(watts, default=math.inf),
+        )
 
     # -- direct charges ------------------------------------------------------
 

@@ -112,7 +112,9 @@ class TestPipelineEquivalence:
         loaded = cache.load("key")
         for event_type, profile in built.analysis.profiles.items():
             lazy = loaded.analysis.profiles[event_type]
-            assert lazy.session_count == profile.session_count
+            assert [r.session for r in lazy.records] == [
+                r.session for r in profile.records
+            ]
             assert lazy.total_cycles == profile.total_cycles
             assert [info.name for info in lazy.universe] == [
                 info.name for info in profile.universe

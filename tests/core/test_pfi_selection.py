@@ -36,10 +36,6 @@ class TestEventProfiles:
         with pytest.raises(ProfilerError):
             build_event_profiles([], snip_config)
 
-    def test_session_count(self, ab_package):
-        profile = ab_package.analysis.profiles[EventType.FRAME_TICK]
-        assert profile.session_count == 2
-
 
 class TestPfi:
     def test_importances_cover_universe(self, ab_analysis):

@@ -7,6 +7,7 @@ process pool cannot share in-memory state with the test.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import time
 
@@ -39,6 +40,15 @@ def _always_fails(payload):
     with open(marker_dir / f"calls_{value}", "a") as log:
         log.write("called\n")
     raise ValueError(f"payload {value} is cursed")
+
+
+def _fails_at_once_or_sleeps(payload):
+    """Payload 0 raises at once; any other sleeps for its delay."""
+    value, delay_s = payload
+    if value == 0:
+        raise ValueError("payload 0 fails at once")
+    time.sleep(delay_s)
+    return value
 
 
 def _calls(marker_dir):
@@ -191,6 +201,19 @@ def test_queue_executor_raises_the_payload_error_without_retry(tmp_path):
     assert _calls(tmp_path) <= 2
     assert telemetry.counters.worker_failures == 0
     assert telemetry.counters.retries == 0
+
+
+def test_queue_executor_raises_a_payload_error_without_waiting_out_the_window():
+    # Payload 0 fails at once while payload 1 sleeps for 3 s: the error
+    # surfaces as it arrives, and the sleeping worker is stopped.
+    before = set(multiprocessing.active_children())
+    started = time.monotonic()
+    with pytest.raises(ValueError, match="payload 0 fails at once"):
+        QueueFleetExecutor(jobs=2).run(
+            _fails_at_once_or_sleeps, [(0, 0.0), (1, 3.0)]
+        )
+    assert time.monotonic() - started < 1.0
+    assert set(multiprocessing.active_children()) - before == set()
 
 
 def test_queue_executor_recovers_every_payload_from_a_pool_crash(tmp_path):

@@ -1,6 +1,9 @@
 """Tests for the energy ledger."""
 
+import ast
+import dataclasses
 import pickle
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -31,6 +34,7 @@ from repro.soc.energy import (
     TAG_LOOKUP,
     merge_reports,
 )
+from repro.soc.power_profiles import pixel_xl_profiles
 from repro.soc.soc import snapdragon_821
 
 
@@ -185,6 +189,20 @@ steps = st.one_of(
         st.just("hit"), st.sampled_from(sorted(EVENTS, key=str)),
         st.integers(min_value=0, max_value=4096),
     ),
+    # The SoC's direct charges, called as the memo patterns record them.
+    st.tuples(
+        st.just("cycles"), cycles, st.booleans(),
+        st.sampled_from([TAG_EVENT, TAG_LOOKUP]),
+    ),
+    st.tuples(st.just("transfer"), sizes),
+    st.tuples(
+        st.just("invoke"), st.sampled_from(IP_BLOCKS),
+        st.one_of(st.just(-1.0), st.floats(min_value=0.0, max_value=40.0)),
+        sizes, sizes,
+    ),
+    # Both ledgers folded midway: a later fold must not be served from
+    # a stale cache.
+    st.tuples(st.just("fold")),
 )
 
 
@@ -220,6 +238,12 @@ def _apply(soc, runtime, step):
             charge_trace(soc, step[1])
         elif kind == "probe":
             runtime._charge_probe(EVENTS[step[1]])
+        elif kind == "cycles":
+            soc.charge_cycles(step[1], big=step[2], tag=step[3])
+        elif kind == "transfer":
+            soc.charge_transfer(step[1])
+        elif kind == "invoke":
+            soc.charge_invocation(step[1], step[2], bytes_in=step[3], bytes_out=step[4])
         else:
             write = FieldWrite("hist:score", OutputCategory.HISTORY, 1, step[2], True)
             entry = TableEntry(writes=(write,), avg_cycles=1.0, profile_weight=1.0)
@@ -231,8 +255,10 @@ def _apply(soc, runtime, step):
 
 def _negative(step) -> bool:
     """Whether ``step`` carries a negative quantity that must raise."""
-    if step[0] == "advance":
+    if step[0] in ("advance", "cycles", "transfer"):
         return step[1] < 0
+    if step[0] == "invoke":
+        return min(step[2:]) < 0
     if step[0] != "trace":
         return False
     trace = step[1]
@@ -256,6 +282,11 @@ def _trace(**work):
     return ProcessingTrace(event_sequence=0, event_type=EventType.TOUCH, **work)
 
 
+def _same_ledger(columnar, scalar):
+    assert pickle.dumps(columnar.report()) == pickle.dumps(scalar.report())
+    assert columnar.meter.total_joules.hex() == scalar.meter.total_joules.hex()
+
+
 class TestColumnarMatchesScalar:
     @settings(max_examples=200, deadline=None)
     @given(sequence=st.lists(steps, min_size=1, max_size=60))
@@ -269,11 +300,22 @@ class TestColumnarMatchesScalar:
     @example([("sleep", "dram"), ("advance", 1.0), ("trace", _trace(memory_bytes=4096))])
     @example([("sleep", "display"), ("hit", EventType.FRAME_TICK, 64)])
     @example([("advance", 5e-324), ("advance", 1e-323), ("advance", 0.5)])
+    # A subnormal interval walks the components between two idle
+    # records, and a sleeping block gets its own idle pattern after a
+    # fold was cached.
+    @example([("advance", 0.5), ("advance", 5e-324), ("fold",), ("advance", 0.25)])
+    @example([
+        ("advance", 1.0), ("fold",), ("sleep", "gpu"), ("advance", 1.0),
+        ("invoke", "gpu", 2.0, 64, 64), ("advance", 0.5),
+    ])
     def test_same_steps_same_report_bytes(self, probe_game, sequence):
         scalar = snapdragon_821()
         columnar = snapdragon_821(meter=ColumnarMeter())
         sides = [(soc, _runtime(soc, probe_game)) for soc in (scalar, columnar)]
         for step in sequence:
+            if step[0] == "fold":
+                _same_ledger(columnar, scalar)
+                continue
             outcomes = [_apply(soc, runtime, step) for soc, runtime in sides]
             assert outcomes[0] is outcomes[1], step
             if _negative(step):
@@ -314,3 +356,109 @@ class TestColumnarMatchesScalar:
             meter.charge("cpu", ComponentGroup.CPU, -0.1)
         meter.charge("cpu", ComponentGroup.CPU, 0.0)
         assert meter.report().by_component == {}
+
+
+# -- one record per idle interval ----------------------------------------
+
+
+class TestIdleRecords:
+    def test_an_idle_interval_is_one_record(self):
+        soc = snapdragon_821(meter=ColumnarMeter())
+        soc.advance_time(0.5)
+        assert soc.meter.record_count == 1
+        # A subnormal interval underflows: the walk skips its zero charges.
+        soc.advance_time(5e-324)
+        assert soc.meter.record_count == 1
+
+    def test_an_interval_with_nothing_drawing_folds_to_nothing(self):
+        # Every component OFF and no platform floor: an empty pattern.
+        profiles = dataclasses.replace(pixel_xl_profiles(), platform_floor_watts=0.0)
+        soc = snapdragon_821(profiles=profiles, meter=ColumnarMeter())
+        for component in soc.all_components().values():
+            component.transition(PowerState.OFF)
+        soc.advance_time(1.0)
+        assert soc.meter.record_count == 1
+        assert soc.meter.total_joules == 0.0
+        assert pickle.dumps(soc.report()) == pickle.dumps(EnergyMeter().report())
+
+    def test_poured_idle_records_fold_in_any_meter(self):
+        source = snapdragon_821(meter=ColumnarMeter())
+        source.advance_time(0.25)
+        source.charge_cycles(1000)
+        target = ColumnarMeter()
+        target.extend(*source.meter.records_since(0))
+        assert pickle.dumps(target.report()) == pickle.dumps(source.report())
+
+
+class TestPowerView:
+    def test_idle_turns_false_as_soon_as_a_block_sleeps(self):
+        columnar = snapdragon_821(meter=ColumnarMeter())
+        scalar = snapdragon_821()
+        for soc in (columnar, scalar):
+            soc.advance_time(0.5)
+        assert columnar.idle
+        for soc in (columnar, scalar):
+            soc.ip("dsp").sleep()
+        assert not columnar.idle
+        for soc in (columnar, scalar):
+            soc.advance_time(0.5)
+        # The interval after the sleep accrues the sleep pattern, with
+        # the component walk's bytes.
+        assert columnar.meter.record_count == 2
+        _same_ledger(columnar, scalar)
+        columnar.ip("dsp").wake()
+        assert columnar.idle
+
+    def test_power_state_is_written_only_by_transition(self):
+        # The cached view is retaken only when ``power_epoch`` moves,
+        # which ``transition`` bumps; a write elsewhere would leave the
+        # view stale.
+        root = Path(__file__).resolve().parents[2] / "src" / "repro"
+        writers = {
+            (path.relative_to(root).as_posix(),) + scope
+            for path in sorted(root.rglob("*.py"))
+            for scope in _state_writes(ast.parse(path.read_text(encoding="utf-8")))
+        }
+        assert writers == {
+            ("soc/component.py", "HardwareComponent", "__init__"),
+            ("soc/component.py", "HardwareComponent", "transition"),
+            # A handler's view of the game's state store, not a power state.
+            ("games/base.py", "HandlerContext", "__init__"),
+        }
+
+
+def _writes_state(node) -> bool:
+    """Whether ``node`` assigns an attribute named ``_state``, directly
+    or through ``setattr`` with that name (or a computed one)."""
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        targets = [node.target]
+    elif (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "setattr"
+        and len(node.args) > 1
+    ):
+        name = node.args[1]
+        return not isinstance(name, ast.Constant) or name.value == "_state"
+    else:
+        return False
+    return any(
+        isinstance(inner, ast.Attribute) and inner.attr == "_state"
+        for target in targets
+        for inner in ast.walk(target)
+    )
+
+
+def _state_writes(node, scope=(None, None)):
+    """The ``(class, function)`` around every ``_state`` write in ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ClassDef):
+            yield from _state_writes(child, (child.name, None))
+        elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _state_writes(child, (scope[0], child.name))
+        else:
+            if _writes_state(child):
+                yield scope
+            yield from _state_writes(child, scope)
