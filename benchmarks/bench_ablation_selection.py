@@ -60,7 +60,6 @@ def test_ablation_pfi_model_choice(once):
                 ]
                 for event_type, profile in forest.profiles.items()
             },
-            models=forest.models,
         )
         results["random_order"] = _selection_quality(blind, config)
         return results

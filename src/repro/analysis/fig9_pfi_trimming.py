@@ -19,7 +19,6 @@ from repro.core.profiler import CloudProfiler
 from repro.core.selection import TrimPoint, trimming_curve
 from repro.games.base import InputCategory
 from repro.units import format_bytes
-from repro.users.tracegen import generate_trace
 
 
 @dataclass
@@ -82,9 +81,7 @@ def run_fig9(
     """Profile, run PFI, walk the trimming curve, and select."""
     config = config or SnipConfig()
     profiler = CloudProfiler(config)
-    traces = [generate_trace(game_name, seed, duration_s) for seed in seeds]
-    records = profiler.replay_traces(game_name, traces)
-    analysis = profiler.analyze(records)
+    analysis = profiler.analyze_sessions(game_name, seeds, duration_s)
     points = trimming_curve(analysis)
     selection = profiler.select(analysis)
     full_record_bytes = sum(

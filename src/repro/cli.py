@@ -95,7 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
     devreport.add_argument("game", choices=GAME_NAMES)
     devreport.add_argument("--profile-seeds", type=_parse_seeds, default=[1, 2])
     devreport.add_argument("--profile-duration", type=float, default=30.0)
-    _add_cache_flag(devreport)
 
     ota = commands.add_parser("ota", help="build and write the OTA table file")
     ota.add_argument("game", choices=GAME_NAMES)
@@ -393,11 +392,13 @@ def _cmd_experiment(args, out) -> int:
 
 
 def _cmd_devreport(args, out) -> int:
-    profiler = CloudProfiler(SnipConfig(), cache=_cache_mode(args))
-    package = profiler.build_package_from_sessions(
-        args.game, seeds=args.profile_seeds, duration_s=args.profile_duration
+    # The package does not carry the PFI analysis, so the report builds
+    # its own, from the same stages, and the package cache is not used.
+    profiler = CloudProfiler(SnipConfig(), cache=None)
+    analysis = profiler.analyze_sessions(
+        args.game, args.profile_seeds, args.profile_duration
     )
-    report = build_developer_report(args.game, package.analysis, package.selection)
+    report = build_developer_report(args.game, analysis, profiler.select(analysis))
     print(report.to_text(), file=out)
     return 0
 

@@ -53,7 +53,6 @@ class PfiAnalysis:
 
     profiles: Dict[EventType, EventTypeProfile]
     importances: Dict[EventType, List[FeatureImportance]]
-    models: Dict[EventType, RandomForestClassifier]
 
     def event_types(self) -> List[EventType]:
         """Event types present, heaviest (by cycles) first."""
@@ -90,7 +89,6 @@ def run_pfi(records: Sequence[ProfileRecord], config: SnipConfig) -> PfiAnalysis
     """Train per-type forests and rank input locations by importance."""
     profiles = build_event_profiles(records, config)
     importances: Dict[EventType, List[FeatureImportance]] = {}
-    models: Dict[EventType, RandomForestClassifier] = {}
     rng = np.random.default_rng(config.seed)
     for event_type, profile in profiles.items():
         dataset = profile.dataset
@@ -124,5 +122,4 @@ def run_pfi(records: Sequence[ProfileRecord], config: SnipConfig) -> PfiAnalysis
             repeats=config.pfi_repeats,
             sample_weight=weights,
         )
-        models[event_type] = model
-    return PfiAnalysis(profiles=profiles, importances=importances, models=models)
+    return PfiAnalysis(profiles=profiles, importances=importances)

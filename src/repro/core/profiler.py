@@ -31,12 +31,16 @@ BACKEND_SECONDS_PER_EVENT = 86_400.0 * 2 / 9_000.0
 
 @dataclass
 class SnipPackage:
-    """The over-the-air update sent back to the device."""
+    """The over-the-air update sent back to the device.
+
+    Only what ships and its Sec. VII-C accounting: the PFI analysis
+    behind the selection stays in the cloud (readers that need it
+    rebuild it with :meth:`CloudProfiler.analyze_sessions`).
+    """
 
     game_name: str
     table: SnipTable
     selection: SelectedInputs
-    analysis: PfiAnalysis
     profile_events: int
     uplink_bytes: int       # what the phone sent to the cloud
     full_record_bytes: int  # what a naive table would have stored
@@ -100,6 +104,21 @@ class CloudProfiler:
         """Pick the necessary inputs (gated-coverage hill climb)."""
         return select_necessary_inputs(analysis, self.config, self.overrides)
 
+    def analyze_sessions(
+        self, game_name: str, seeds: Sequence[int], duration_s: float
+    ) -> PfiAnalysis:
+        """Synthesize device recordings, replay them, and run PFI.
+
+        The cloud-side analysis a :class:`SnipPackage` does not carry,
+        for the readers that need it (the developer report, Fig. 9).
+        It is rebuilt on every call and never cached.
+        """
+        traces = [
+            generate_trace(game_name, seed=seed, duration_s=duration_s)
+            for seed in seeds
+        ]
+        return self.analyze(self.replay_traces(game_name, traces))
+
     # -- the whole pipeline -----------------------------------------------------
 
     def build_package(
@@ -120,7 +139,6 @@ class CloudProfiler:
             game_name=game_name,
             table=table,
             selection=selection,
-            analysis=analysis,
             profile_events=len(records),
             uplink_bytes=sum(trace.uplink_bytes for trace in traces),
             full_record_bytes=full_record_bytes,

@@ -12,9 +12,7 @@ from __future__ import annotations
 import json
 import pickle
 import struct
-from collections.abc import Mapping
-from dataclasses import replace
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.android.events import EventType
 from repro.core.fields import FieldInfo
@@ -179,102 +177,38 @@ def load_table(path: str) -> SnipTable:
 #
 # Unlike the OTA table document above (a versioned JSON contract a
 # *device* must be able to validate), whole SnipPackages only ever move
-# between trusted cloud-side processes — the profiler's on-disk cache
-# and fleet workers — so they use pickle: the analysis half of a
-# package (per-event-type profiles, fitted forests) has no JSON form
-# and needs none.
-#
-# The payload is framed in two segments: a *light* one (table,
-# selection, importances, models, accounting) and a *heavy* one (the
-# per-event-type profiles, which drag every replayed ProfileRecord
-# along). Most cache consumers — scheme ``prepare``, the fleet engine,
-# the runtime benches — only ever touch the light half, so the heavy
-# segment is deserialized lazily on first profile access.
+# between trusted cloud-side processes — the package cache, the
+# registry and fleet workers — so they use pickle, framed by a magic
+# and the pickle's length so a torn payload reads as malformed.
 
-_PACKAGE_MAGIC = b"SNIPPKG1"
-_PACKAGE_HEADER = struct.Struct("<QQ")
+_PACKAGE_MAGIC = b"SNIPPKG2"
+_PACKAGE_HEADER = struct.Struct("<Q")
 _PICKLE_ERRORS = (
     pickle.UnpicklingError, EOFError, AttributeError, ImportError,
     IndexError, ValueError, TypeError, struct.error,
 )
 
 
-class _LazyProfiles(Mapping):
-    """``analysis.profiles`` backed by a still-pickled heavy segment.
-
-    Behaves as a read-only mapping; the payload is unpickled once, on
-    first access. Re-pickling (fleet workers ship packages to their
-    shard processes) forwards the raw payload when still unloaded, so
-    laziness survives the process hop.
-    """
-
-    def __init__(self, payload: bytes) -> None:
-        self._payload = payload
-        self._profiles: Optional[Dict] = None
-
-    def _load(self) -> Dict:
-        if self._profiles is None:
-            try:
-                self._profiles = pickle.loads(self._payload)
-            except _PICKLE_ERRORS as exc:
-                raise MemoizationError(
-                    f"malformed package profiles segment: {exc}"
-                ) from exc
-            self._payload = b""
-        return self._profiles
-
-    def __getitem__(self, key):
-        return self._load()[key]
-
-    def __iter__(self):
-        return iter(self._load())
-
-    def __len__(self) -> int:
-        return len(self._load())
-
-    def __reduce__(self):
-        if self._profiles is not None:
-            return (dict, (self._profiles,))
-        return (self.__class__, (self._payload,))
-
-
 def package_to_bytes(package: Any) -> bytes:
     """Serialize a :class:`~repro.core.profiler.SnipPackage`."""
-    heavy = pickle.dumps(
-        dict(package.analysis.profiles), protocol=pickle.HIGHEST_PROTOCOL
-    )
-    light_package = replace(
-        package, analysis=replace(package.analysis, profiles={})
-    )
-    light = pickle.dumps(light_package, protocol=pickle.HIGHEST_PROTOCOL)
-    return (
-        _PACKAGE_MAGIC
-        + _PACKAGE_HEADER.pack(len(light), len(heavy))
-        + light
-        + heavy
-    )
+    body = pickle.dumps(package, protocol=pickle.HIGHEST_PROTOCOL)
+    return _PACKAGE_MAGIC + _PACKAGE_HEADER.pack(len(body)) + body
 
 
 def package_from_bytes(payload: bytes) -> Any:
     """Inverse of :func:`package_to_bytes`.
 
-    Raises :class:`MemoizationError` on malformed payloads so cache
-    callers can treat corruption as a plain miss. The profiles segment
-    is validated for length here but only unpickled on first access; a
-    bit-corrupted (not truncated) heavy segment therefore surfaces as
-    a :class:`MemoizationError` at that access instead.
+    Raises :class:`MemoizationError` on malformed payloads (a bad magic,
+    a short header, a length mismatch or an unpickling error) so cache
+    callers can treat corruption as a plain miss.
     """
     header_end = len(_PACKAGE_MAGIC) + _PACKAGE_HEADER.size
     if not payload.startswith(_PACKAGE_MAGIC) or len(payload) < header_end:
         raise MemoizationError("malformed package payload: bad header")
-    light_len, heavy_len = _PACKAGE_HEADER.unpack_from(
-        payload, len(_PACKAGE_MAGIC)
-    )
-    if len(payload) != header_end + light_len + heavy_len:
+    (length,) = _PACKAGE_HEADER.unpack_from(payload, len(_PACKAGE_MAGIC))
+    if len(payload) != header_end + length:
         raise MemoizationError("malformed package payload: truncated")
     try:
-        package = pickle.loads(payload[header_end:header_end + light_len])
+        return pickle.loads(payload[header_end:])
     except _PICKLE_ERRORS as exc:
         raise MemoizationError(f"malformed package payload: {exc}") from exc
-    package.analysis.profiles = _LazyProfiles(payload[header_end + light_len:])
-    return package

@@ -29,7 +29,7 @@ from repro.core.table import SnipTable
 from repro.errors import FleetError
 from repro.fleet.spec import FleetSpec
 from repro.fleet.work import DeviceResult, ShardResult
-from repro.soc.energy import EnergyReport
+from repro.soc.energy import EnergyReport, merge_reports
 
 R = TypeVar("R")
 
@@ -161,45 +161,22 @@ class TotalsAccumulator(Accumulator[FleetTotals]):
 class EnergyAccumulator(Accumulator[Optional[EnergyReport]]):
     """Folds per-device energy ledgers into one fleet ledger.
 
-    Mirrors :func:`repro.soc.energy.merge_reports` exactly — same
-    left-to-right float additions, same first-seen key insertion order
-    — so the streamed ledger is byte-identical to the batch merge.
+    Each device's ledger is merged into the running one through
+    :func:`repro.soc.energy.merge_reports`. ``0.0 + x`` is exact and the
+    running ledger's keys come first, so the streamed ledger has the
+    float additions and the first-seen key order of one batch merge.
     """
 
     def __init__(self) -> None:
-        self._seen = False
-        self._total = 0.0
-        self._by_component: Dict[str, float] = {}
-        self._by_group: Dict = {}
-        self._by_tag: Dict[str, float] = {}
-        self._by_group_tag: Dict = {}
-
-    def _fold(self, report: EnergyReport) -> None:
-        self._seen = True
-        self._total += report.total_joules
-        for key, value in report.by_component.items():
-            self._by_component[key] = self._by_component.get(key, 0.0) + value
-        for group, value in report.by_group.items():
-            self._by_group[group] = self._by_group.get(group, 0.0) + value
-        for tag, value in report.by_tag.items():
-            self._by_tag[tag] = self._by_tag.get(tag, 0.0) + value
-        for pair, value in report.by_group_and_tag.items():
-            self._by_group_tag[pair] = self._by_group_tag.get(pair, 0.0) + value
+        self._report: Optional[EnergyReport] = None
 
     def update(self, device: DeviceResult) -> None:
         if device.report:
-            self._fold(device.report)
+            running = [] if self._report is None else [self._report]
+            self._report = merge_reports(running + [device.report])
 
     def finalize(self) -> Optional[EnergyReport]:
-        if not self._seen:
-            return None
-        return EnergyReport(
-            total_joules=self._total,
-            by_component=dict(self._by_component),
-            by_group=dict(self._by_group),
-            by_tag=dict(self._by_tag),
-            by_group_and_tag=dict(self._by_group_tag),
-        )
+        return self._report
 
 
 class CensusAccumulator(Accumulator[Dict[str, int]]):

@@ -283,8 +283,6 @@ class ColumnarMeter(EnergyMeter):
         super().__init__()
         self._key_ids: List[int] = []
         self._values: List[float] = []
-        self._fold_cache: Tuple[int, EnergyReport] = (-1, None)  # type: ignore[assignment]
-        self._total_cache: Tuple[int, float] = (-1, 0.0)
 
     def charge(
         self,
@@ -352,42 +350,35 @@ class ColumnarMeter(EnergyMeter):
         )
 
     def _folded(self) -> EnergyReport:
-        count = len(self._values)
-        cached_count, cached = self._fold_cache
-        if cached_count == count:
-            return cached
         key_ids, values = self._columns()
         if not len(values):
-            report = EnergyReport(
+            return EnergyReport(
                 total_joules=0.0, by_component={}, by_group={},
                 by_tag={}, by_group_and_tag={},
             )
-        else:
-            # The fold's one sort: the distinct key ids, each record's
-            # index into them, and each id's first record. Every axis
-            # derives its first-charge order from this.
-            ids, first, dense = np.unique(
-                key_ids, return_index=True, return_inverse=True
-            )
-            first_order = np.argsort(first)
-            keys = [_KEY_META[key_id] for key_id in ids.tolist()]
-            report = EnergyReport(
-                total_joules=float(np.add.accumulate(values)[-1]),
-                by_component=_axis_fold(
-                    dense, first_order, values, [key[0] for key in keys]
-                ),
-                by_group=_axis_fold(
-                    dense, first_order, values, [key[1] for key in keys]
-                ),
-                by_tag=_axis_fold(
-                    dense, first_order, values, [key[2] for key in keys]
-                ),
-                by_group_and_tag=_axis_fold(
-                    dense, first_order, values, [(key[1], key[2]) for key in keys]
-                ),
-            )
-        self._fold_cache = (count, report)
-        return report
+        # The fold's one sort: the distinct key ids, each record's index
+        # into them, and each id's first record. Every axis derives its
+        # first-charge order from this.
+        ids, first, dense = np.unique(
+            key_ids, return_index=True, return_inverse=True
+        )
+        first_order = np.argsort(first)
+        keys = [_KEY_META[key_id] for key_id in ids.tolist()]
+        return EnergyReport(
+            total_joules=float(np.add.accumulate(values)[-1]),
+            by_component=_axis_fold(
+                dense, first_order, values, [key[0] for key in keys]
+            ),
+            by_group=_axis_fold(
+                dense, first_order, values, [key[1] for key in keys]
+            ),
+            by_tag=_axis_fold(
+                dense, first_order, values, [key[2] for key in keys]
+            ),
+            by_group_and_tag=_axis_fold(
+                dense, first_order, values, [(key[1], key[2]) for key in keys]
+            ),
+        )
 
     @property
     def total_joules(self) -> float:
@@ -397,13 +388,8 @@ class ColumnarMeter(EnergyMeter):
         records in arrival order that :meth:`report` runs, so the same
         float.
         """
-        count = len(self._values)
-        cached_count, total = self._total_cache
-        if cached_count != count:
-            values = self._columns()[1]
-            total = float(np.add.accumulate(values)[-1]) if len(values) else 0.0
-            self._total_cache = (count, total)
-        return total
+        values = self._columns()[1]
+        return float(np.add.accumulate(values)[-1]) if len(values) else 0.0
 
     def component_joules(self, component: str) -> float:
         return self._folded().by_component.get(component, 0.0)
@@ -421,8 +407,6 @@ class ColumnarMeter(EnergyMeter):
         super().reset()
         self._key_ids.clear()
         self._values.clear()
-        self._fold_cache = (-1, None)  # type: ignore[assignment]
-        self._total_cache = (-1, 0.0)
 
 
 def merge_reports(reports: Iterable[EnergyReport]) -> EnergyReport:

@@ -55,16 +55,6 @@ DEFAULT_ARCHETYPES: Tuple[UserArchetype, ...] = (
 )
 
 
-#: Process-wide archetype deals, keyed by the full deal inputs
-#: ``(seed, archetypes, weights)`` → ``{user_id: archetype}``. The deal
-#: is a pure function of those inputs, and fleet workers build one
-#: short-lived :class:`Population` per shard — without a shared cache
-#: every shard re-draws the same weighted choices. Inner maps are
-#: capped so million-device fleets cannot grow memory unboundedly.
-_ARCHETYPE_DEALS: Dict[Tuple, Dict[int, "UserArchetype"]] = {}
-_ARCHETYPE_DEALS_CAP = 262_144
-
-
 class Population:
     """A deterministic assignment of archetypes to user ids."""
 
@@ -81,14 +71,9 @@ class Population:
         self.archetypes = archetypes
         self.weights = weights
         self.seed = seed
-        #: This population's slice of the process-wide deal cache:
-        #: archetype_of is pure in (seed, archetypes, weights, user_id)
-        #: and queried several times per device across every shard.
-        deal_key = (seed, archetypes, weights)
-        cache = _ARCHETYPE_DEALS.get(deal_key)
-        if cache is None:
-            cache = _ARCHETYPE_DEALS[deal_key] = {}
-        self._archetype_cache = cache
+        #: Deals already drawn: a fleet device looks its archetype up
+        #: twice (``run_device``, then ``iter_columnar_sessions``).
+        self._archetype_cache: Dict[int, UserArchetype] = {}
         #: Normalised weights, computed once with the exact expressions
         #: ReproRng.choice uses per call — the generator sees the same
         #: ``p`` array either way, so the deal is draw-identical.
@@ -104,9 +89,7 @@ class Population:
         if cached is None:
             rng = ReproRng(self.seed).fork(f"user:{user_id}")
             index = int(rng.generator.choice(len(self.archetypes), p=self._probs))
-            cached = self.archetypes[index]
-            if len(self._archetype_cache) < _ARCHETYPE_DEALS_CAP:
-                self._archetype_cache[user_id] = cached
+            cached = self._archetype_cache[user_id] = self.archetypes[index]
         return cached
 
     def user_gestures(

@@ -70,9 +70,13 @@ def ab_package(snip_config):
 
 
 @pytest.fixture(scope="session")
-def ab_analysis(ab_package):
-    """The PFI analysis behind the AB package."""
-    return ab_package.analysis
+def ab_analysis(snip_config):
+    """The PFI analysis behind the AB package, rebuilt through the
+    profiler stages from the same two recordings (packages do not
+    carry it)."""
+    return CloudProfiler(snip_config).analyze_sessions(
+        "ab_evolution", seeds=[1, 2], duration_s=FIXTURE_DURATION_S
+    )
 
 
 @pytest.fixture(scope="session")

@@ -99,23 +99,3 @@ class TestPipelineEquivalence:
         loaded_stats, loaded_joules = _run_session(loaded, snip_config)
         assert dataclasses.asdict(built_stats) == dataclasses.asdict(loaded_stats)
         assert built_joules == loaded_joules
-
-    def test_profiles_survive_the_cache_for_downstream_analysis(
-        self, tmp_path, snip_config
-    ):
-        seeds, duration = [1], 10.0
-        built = CloudProfiler(snip_config, cache=None).build_package_from_sessions(
-            GAME, seeds=seeds, duration_s=duration
-        )
-        cache = PackageCache(tmp_path)
-        cache.store("key", built)
-        loaded = cache.load("key")
-        for event_type, profile in built.analysis.profiles.items():
-            lazy = loaded.analysis.profiles[event_type]
-            assert [r.session for r in lazy.records] == [
-                r.session for r in profile.records
-            ]
-            assert lazy.total_cycles == profile.total_cycles
-            assert [info.name for info in lazy.universe] == [
-                info.name for info in profile.universe
-            ]

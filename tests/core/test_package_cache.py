@@ -13,7 +13,12 @@ from repro.core.package_cache import (
     package_digest,
 )
 from repro.core.profiler import CloudProfiler, SnipPackage
-from repro.core.serialization import table_to_dict
+from repro.core.serialization import (
+    package_from_bytes,
+    package_to_bytes,
+    table_to_dict,
+)
+from repro.errors import MemoizationError
 from repro.schemes.snip_scheme import SnipScheme
 
 GAME = "candy_crush"
@@ -74,18 +79,6 @@ class TestPackageCacheStore:
             loaded.selection.by_event_type == built_package.selection.by_event_type
         )
 
-    def test_lazy_profiles_load_on_demand(self, tmp_path, built_package):
-        cache = PackageCache(tmp_path)
-        cache.store("key", built_package)
-        loaded = cache.load("key")
-        originals = built_package.analysis.profiles
-        assert set(loaded.analysis.profiles) == set(originals)
-        for event_type, profile in originals.items():
-            assert (
-                len(loaded.analysis.profiles[event_type].records)
-                == len(profile.records)
-            )
-
     def test_miss_returns_none(self, tmp_path):
         assert PackageCache(tmp_path).load("no-such-key") is None
 
@@ -131,6 +124,22 @@ class TestPackageCacheStore:
         assert cleared.entries == 2
         assert cleared.bytes_reclaimed == stats.total_bytes
         assert cache.stats().entries == 0
+
+
+class TestPackageFrame:
+    def test_every_proper_prefix_is_malformed(self, built_package):
+        payload = package_to_bytes(built_package)
+        # Only the over-the-air artifact is framed, not the PFI analysis.
+        assert len(payload) < 16_000
+        for cut in range(len(payload)):
+            with pytest.raises(MemoizationError):
+                package_from_bytes(payload[:cut])
+        assert isinstance(package_from_bytes(payload), SnipPackage)
+
+    def test_an_older_frame_is_malformed(self, built_package):
+        payload = package_to_bytes(built_package)
+        with pytest.raises(MemoizationError):
+            package_from_bytes(b"SNIPPKG1" + payload[8:])
 
 
 class TestCacheConfiguration:

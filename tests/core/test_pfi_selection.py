@@ -112,10 +112,10 @@ class TestGatedStats:
 
 
 class TestSelection:
-    def test_selected_fields_subset_of_universe(self, ab_package):
+    def test_selected_fields_subset_of_universe(self, ab_analysis, ab_package):
         for event_type, fields in ab_package.selection.by_event_type.items():
             universe = {
-                info.name for info in ab_package.analysis.profiles[event_type].universe
+                info.name for info in ab_analysis.profiles[event_type].universe
             }
             assert {info.name for info in fields} <= universe
 

@@ -52,6 +52,12 @@ class TestParser:
         )
         assert args.profile_seeds == [3, 4, 5]
 
+    def test_devreport_takes_no_cache_flag(self):
+        # devreport never reads or writes the package cache.
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["devreport", "colorphun", "--no-cache"])
+        assert excinfo.value.code == 2
+
 
 class TestCommands:
     def test_list_games(self):
