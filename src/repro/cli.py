@@ -451,6 +451,7 @@ def _cmd_federate(args, out) -> int:
 
 
 def _cmd_fleet(args, out) -> int:
+    from repro.errors import CacheError, CheckpointError, RegistryError
     from repro.fleet import FleetEngine, FleetSpec, TelemetryBus, make_executor
     from repro.fleet.telemetry import progress_printer
 
@@ -470,14 +471,13 @@ def _cmd_fleet(args, out) -> int:
     if args.progress:
         telemetry.subscribe(progress_printer(sys.stderr))
     executor = make_executor(args.jobs)
-    if args.challenger_fraction > 0:
-        from repro.errors import PromotionError, RegistryError
-        from repro.registry import PackageRegistry, run_staged_rollout
+    try:
+        if args.challenger_fraction > 0:
+            from repro.registry import PackageRegistry, run_staged_rollout
 
-        registry = (
-            PackageRegistry(args.registry) if args.registry else PackageRegistry()
-        )
-        try:
+            registry = (
+                PackageRegistry(args.registry) if args.registry else PackageRegistry()
+            )
             result = run_staged_rollout(
                 registry,
                 args.game,
@@ -487,28 +487,27 @@ def _cmd_fleet(args, out) -> int:
                 telemetry=telemetry,
                 checkpoint=args.checkpoint,
             )
-        except (RegistryError, PromotionError) as exc:
-            print(f"fleet rollout error: {exc}", file=sys.stderr)
-            return 1
-        if args.format == "json":
-            print(result.report.to_json(), file=out)
+            report, to_text = result.report, result.to_text
         else:
-            print(result.to_text(), file=out)
-        return 0
-    engine = FleetEngine(
-        spec,
-        executor=executor,
-        telemetry=telemetry,
-        checkpoint=args.checkpoint,
-        cache=_cache_mode(args),
-    )
-    report = engine.run()
-    print(report.to_json() if args.format == "json" else report.to_text(), file=out)
+            report = FleetEngine(
+                spec,
+                executor=executor,
+                telemetry=telemetry,
+                checkpoint=args.checkpoint,
+                cache=_cache_mode(args),
+            ).run()
+            to_text = report.to_text
+    except (CacheError, CheckpointError, RegistryError) as exc:
+        # The stores' typed errors only: a simulation bug keeps its
+        # traceback.
+        print(f"fleet error: {exc}", file=sys.stderr)
+        return 1
+    print(report.to_json() if args.format == "json" else to_text(), file=out)
     return 0
 
 
 def _cmd_serve(args, out) -> int:
-    from repro.errors import ServiceError
+    from repro.errors import CacheError, CheckpointError, RegistryError, ServiceError
     from repro.fleet import TelemetryBus, make_executor
     from repro.registry import PackageRegistry
     from repro.service import ServiceConfig, SnipService
@@ -545,7 +544,7 @@ def _cmd_serve(args, out) -> int:
             telemetry=telemetry,
         )
         result = service.run(cycles=args.cycles)
-    except ServiceError as exc:
+    except (CacheError, CheckpointError, RegistryError, ServiceError) as exc:
         print(f"serve error: {exc}", file=sys.stderr)
         return 1
     if args.format == "json":
@@ -774,7 +773,7 @@ def _cmd_ota_info(args, out) -> int:
 
     try:
         table = load_table(args.path)
-    except MemoizationError as exc:
+    except (FileNotFoundError, MemoizationError) as exc:
         print(f"ota-info error: {exc}", file=sys.stderr)
         return 2
     print(f"entries:  {table.entry_count}", file=out)

@@ -8,10 +8,11 @@ a digest over exactly those inputs *and* a digest of the installed
 ``repro`` sources — any edit to the package invalidates every entry, so
 a stale cache can never mask a code change.
 
-Entries are whole pickled :class:`~repro.core.profiler.SnipPackage`
-objects written atomically (temp file + rename), so concurrent fleet
-shards racing on the same key at worst both profile and one rename
-wins; readers never observe a half-written package.
+Entries are whole :class:`~repro.core.profiler.SnipPackage` objects in
+the storage layer's framed pickle, written atomically (temp file +
+rename), so concurrent fleet shards racing on the same key at worst
+both profile and one rename wins; readers never observe a half-written
+package.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from repro.core.config import SnipConfig
 from repro.core.overrides import DeveloperOverrides
 from repro.core.serialization import package_from_bytes, package_to_bytes
 from repro.errors import CacheError, MemoizationError
-from repro.storage import atomic_write
+from repro.storage import atomic_write, evict, evictions
 
 #: Bump on incompatible changes to the cache entry layout itself (the
 #: pipeline code is content-hashed separately, see :func:`code_digest`).
@@ -96,11 +97,6 @@ def package_digest(
     return hashlib.blake2b(canonical.encode("utf-8"), digest_size=16).hexdigest()
 
 
-#: Sidecar file recording how many corrupt entries were ever evicted;
-#: a rising count is the signal that something is truncating writes.
-EVICTIONS_NAME = "corrupt_evictions.count"
-
-
 @dataclass(frozen=True)
 class CacheStats:
     """What ``repro-snip cache stats`` reports."""
@@ -155,30 +151,12 @@ class PackageCache:
         except FileNotFoundError:
             return None
         except (OSError, MemoizationError):
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            self._count_eviction()
+            evict(path, self.root)
             return None
-
-    def _count_eviction(self) -> None:
-        """Bump the persistent corrupt-eviction counter (best effort)."""
-        counter = self.root / EVICTIONS_NAME
-        try:
-            self.root.mkdir(parents=True, exist_ok=True)
-            count = self.corrupt_evictions() + 1
-            atomic_write(counter, f"{count}\n".encode("utf-8"))
-        except OSError:
-            # Diagnostics must never turn an evicted miss into a crash.
-            pass
 
     def corrupt_evictions(self) -> int:
         """How many corrupt entries this cache directory ever evicted."""
-        try:
-            return int((self.root / EVICTIONS_NAME).read_text().strip() or 0)
-        except (OSError, ValueError):
-            return 0
+        return evictions(self.root)
 
     def store(self, key: str, package) -> Path:
         """Atomically persist a package under its key; returns the path."""

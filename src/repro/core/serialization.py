@@ -10,8 +10,6 @@ validated so a device can reject a malformed or incompatible update.
 from __future__ import annotations
 
 import json
-import pickle
-import struct
 from typing import Any, Dict, List, Tuple
 
 from repro.android.events import EventType
@@ -20,7 +18,7 @@ from repro.core.selection import SelectedInputs
 from repro.core.table import SnipTable, TableEntry
 from repro.errors import MemoizationError
 from repro.games.base import FieldWrite, InputCategory, OutputCategory
-from repro.storage import atomic_write
+from repro.storage import FrameError, atomic_write, frame, read_json, unframe
 
 #: Wire-format version; bumped on incompatible changes.
 FORMAT_VERSION = 1
@@ -162,15 +160,11 @@ def dump_table(table: SnipTable, path: str) -> int:
 def load_table(path: str) -> SnipTable:
     """Load an OTA document from ``path``.
 
-    A torn or corrupted file raises :class:`MemoizationError`, as a
-    malformed document does.
+    A missing file raises :class:`FileNotFoundError`; a torn or
+    corrupted one raises :class:`MemoizationError`, as a malformed
+    document does.
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            document = json.load(handle)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise MemoizationError(f"malformed OTA table file {path}: {exc}") from exc
-    return table_from_dict(document)
+    return table_from_dict(read_json(path, MemoizationError, "OTA table file"))
 
 
 # -- cloud-side package wire format ----------------------------------------
@@ -178,21 +172,15 @@ def load_table(path: str) -> SnipTable:
 # Unlike the OTA table document above (a versioned JSON contract a
 # *device* must be able to validate), whole SnipPackages only ever move
 # between trusted cloud-side processes — the package cache, the
-# registry and fleet workers — so they use pickle, framed by a magic
-# and the pickle's length so a torn payload reads as malformed.
+# registry and fleet workers — so they use the storage layer's framed
+# pickle, under their own magic.
 
 _PACKAGE_MAGIC = b"SNIPPKG2"
-_PACKAGE_HEADER = struct.Struct("<Q")
-_PICKLE_ERRORS = (
-    pickle.UnpicklingError, EOFError, AttributeError, ImportError,
-    IndexError, ValueError, TypeError, struct.error,
-)
 
 
 def package_to_bytes(package: Any) -> bytes:
     """Serialize a :class:`~repro.core.profiler.SnipPackage`."""
-    body = pickle.dumps(package, protocol=pickle.HIGHEST_PROTOCOL)
-    return _PACKAGE_MAGIC + _PACKAGE_HEADER.pack(len(body)) + body
+    return frame(_PACKAGE_MAGIC, package)
 
 
 def package_from_bytes(payload: bytes) -> Any:
@@ -202,13 +190,7 @@ def package_from_bytes(payload: bytes) -> Any:
     a short header, a length mismatch or an unpickling error) so cache
     callers can treat corruption as a plain miss.
     """
-    header_end = len(_PACKAGE_MAGIC) + _PACKAGE_HEADER.size
-    if not payload.startswith(_PACKAGE_MAGIC) or len(payload) < header_end:
-        raise MemoizationError("malformed package payload: bad header")
-    (length,) = _PACKAGE_HEADER.unpack_from(payload, len(_PACKAGE_MAGIC))
-    if len(payload) != header_end + length:
-        raise MemoizationError("malformed package payload: truncated")
     try:
-        return pickle.loads(payload[header_end:])
-    except _PICKLE_ERRORS as exc:
+        return unframe(_PACKAGE_MAGIC, payload)
+    except FrameError as exc:
         raise MemoizationError(f"malformed package payload: {exc}") from exc

@@ -3,34 +3,39 @@
 Layout of a run directory::
 
     <run_dir>/
-      manifest.json        # format version, spec, fingerprints
+      manifest.json              # format version, spec, fingerprints
+      corrupt_evictions.count    # corrupt shards ever evicted (if any)
       shards/
-        shard_00000.pkl    # one pickled ShardResult per finished shard
+        shard_00000.pkl    # one framed ShardResult per finished shard
         shard_00001.pkl
         ...
 
-Shard files are written atomically (tmp + rename), so a run killed
-mid-write never leaves a truncated shard behind; resume simply skips
-every shard whose file exists and re-executes the rest. The manifest
-pins the spec's *layout* fingerprint (spec + shard size): resuming with
-different parameters is refused instead of silently mixing results.
+Shard files are the storage layer's framed pickles (a magic, the
+pickle's length, the pickle), written atomically (tmp + rename), so a
+run killed mid-write never leaves a truncated shard behind. Resume
+skips every shard whose file loads and re-executes the rest; a shard
+cut short or with bytes appended is evicted and counted first. The
+manifest is written once and pins the spec's *layout* fingerprint
+(spec + shard size): resuming with different parameters is refused
+instead of silently mixing results.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
-import pickle
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import List, Optional, Union
 
 from repro.errors import CheckpointError
 from repro.fleet.spec import FLEET_FORMAT_VERSION, FleetSpec
 from repro.fleet.work import ShardResult
-from repro.storage import atomic_write, exclusive_create
+from repro.storage import (
+    FrameError, atomic_write, create_json, evict, evictions, frame, read_json, unframe,
+)
 
 MANIFEST_NAME = "manifest.json"
 SHARD_DIR = "shards"
+_SHARD_MAGIC = b"SNIPSHD1"
 
 
 class CheckpointStore:
@@ -39,13 +44,12 @@ class CheckpointStore:
     def __init__(self, run_dir: Union[str, Path]) -> None:
         self.run_dir = Path(run_dir)
         self.shard_dir = self.run_dir / SHARD_DIR
-        #: Corrupt/truncated shard files evicted by
-        #: :meth:`load_resumable` (mirrors the package cache's
-        #: ``corrupt_evictions`` accounting). The running total is
-        #: persisted in the manifest, so a run that is killed and
-        #: resumed keeps counting instead of resetting to 0 on every
-        #: new store instance.
-        self.corrupt_evictions = self._persisted_evictions()
+
+    @property
+    def corrupt_evictions(self) -> int:
+        """Corrupt shard files this run directory ever evicted, across
+        restarts (the package cache's counter, in the run directory)."""
+        return evictions(self.run_dir)
 
     # -- manifest ----------------------------------------------------------
 
@@ -70,7 +74,6 @@ class CheckpointStore:
         self.shard_dir.mkdir(parents=True, exist_ok=True)
         if not self.manifest_path.exists():
             manifest = {
-                "corrupt_evictions": self.corrupt_evictions,
                 "format_version": FLEET_FORMAT_VERSION,
                 "fingerprint": spec.fingerprint(),
                 "layout_fingerprint": spec.layout_fingerprint(),
@@ -78,10 +81,7 @@ class CheckpointStore:
                 "spec": dataclasses.asdict(spec),
             }
             try:
-                exclusive_create(
-                    self.manifest_path,
-                    json.dumps(manifest, indent=2, sort_keys=True).encode(),
-                )
+                create_json(self.manifest_path, manifest)
                 return
             except FileExistsError as exc:
                 raise CheckpointError(
@@ -89,33 +89,23 @@ class CheckpointStore:
                     f"{self.run_dir}: another process published "
                     f"{MANIFEST_NAME} concurrently"
                 ) from exc
-        manifest = self._read_manifest()
+        manifest = read_json(self.manifest_path, CheckpointError, "checkpoint manifest")
+        if manifest.get("format_version") != FLEET_FORMAT_VERSION:
+            raise CheckpointError(
+                f"checkpoint format {manifest.get('format_version')!r} does not "
+                f"match this build ({FLEET_FORMAT_VERSION})"
+            )
         if manifest.get("layout_fingerprint") != spec.layout_fingerprint():
             raise CheckpointError(
                 f"checkpoint at {self.run_dir} belongs to a different "
                 f"fleet spec or shard layout; use a fresh --checkpoint "
                 f"directory or rerun with the original parameters"
             )
-        self.corrupt_evictions = int(manifest.get("corrupt_evictions", 0))
-
-    def _read_manifest(self) -> Dict:
-        try:
-            manifest = json.loads(self.manifest_path.read_text())
-        except (OSError, ValueError) as exc:
-            raise CheckpointError(
-                f"unreadable checkpoint manifest at {self.manifest_path}: {exc}"
-            ) from exc
-        if manifest.get("format_version") != FLEET_FORMAT_VERSION:
-            raise CheckpointError(
-                f"checkpoint format {manifest.get('format_version')!r} does not "
-                f"match this build ({FLEET_FORMAT_VERSION})"
-            )
-        return manifest
 
     # -- shards ------------------------------------------------------------
 
     def shard_path(self, index: int) -> Path:
-        """File holding one shard's pickled result."""
+        """File holding one shard's framed result."""
         return self.shard_dir / f"shard_{index:05d}.pkl"
 
     def completed_indices(self) -> List[int]:
@@ -133,21 +123,15 @@ class CheckpointStore:
     def save(self, result: ShardResult) -> Path:
         """Persist one shard result atomically."""
         path = self.shard_path(result.shard_index)
-        atomic_write(path, pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL))
+        atomic_write(path, frame(_SHARD_MAGIC, result))
         return path
 
     def load(self, index: int) -> ShardResult:
         """Load one persisted shard result (raises on any corruption)."""
         path = self.shard_path(index)
         try:
-            with path.open("rb") as handle:
-                result = pickle.load(handle)
-        except CheckpointError:
-            raise
-        except Exception as exc:
-            # Unpickling a truncated or garbage file can raise nearly
-            # anything (UnpicklingError, EOFError, AttributeError,
-            # ValueError, ...); all of them mean the same thing here.
+            result = unframe(_SHARD_MAGIC, path.read_bytes())
+        except (OSError, FrameError) as exc:
             raise CheckpointError(f"cannot load shard checkpoint {path}: {exc}") from exc
         if not isinstance(result, ShardResult) or result.shard_index != index:
             raise CheckpointError(f"shard checkpoint {path} holds the wrong payload")
@@ -156,7 +140,7 @@ class CheckpointStore:
     def load_resumable(self, index: int) -> Optional[ShardResult]:
         """Load one shard, evicting corrupt files as resumable misses.
 
-        A truncated, garbage, or wrong-payload shard pickle is deleted
+        A truncated, garbage, or wrong-payload shard file is deleted
         (counted in :attr:`corrupt_evictions`) and reported as ``None``
         — the shard simply re-runs — instead of aborting the whole
         resume mid-stream.
@@ -164,9 +148,7 @@ class CheckpointStore:
         try:
             return self.load(index)
         except CheckpointError:
-            self.discard(index)
-            self.corrupt_evictions += 1
-            self._persist_evictions()
+            evict(self.shard_path(index), self.run_dir)
             return None
 
     def resumable_indices(self) -> List[int]:
@@ -181,38 +163,3 @@ class CheckpointStore:
             for index in self.completed_indices()
             if self.load_resumable(index) is not None
         ]
-
-    def discard(self, index: int) -> None:
-        """Remove one persisted shard file (corrupt-shard eviction)."""
-        try:
-            self.shard_path(index).unlink()
-        except OSError:
-            pass
-
-    # -- eviction accounting -----------------------------------------------
-
-    def _persisted_evictions(self) -> int:
-        """Running eviction total recorded in the manifest, if any."""
-        try:
-            manifest = json.loads(self.manifest_path.read_text())
-            return int(manifest.get("corrupt_evictions", 0))
-        except (OSError, ValueError, TypeError):
-            return 0
-
-    def _persist_evictions(self) -> None:
-        """Record the running eviction total in the manifest.
-
-        Best-effort: a store whose manifest is missing or unreadable
-        (never initialised, or damaged) keeps the in-memory counter
-        only.
-        """
-        try:
-            manifest = json.loads(self.manifest_path.read_text())
-        except (OSError, ValueError):
-            return
-        if not isinstance(manifest, dict):
-            return
-        manifest["corrupt_evictions"] = self.corrupt_evictions
-        atomic_write(
-            self.manifest_path, json.dumps(manifest, indent=2, sort_keys=True).encode()
-        )

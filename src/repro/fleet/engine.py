@@ -320,7 +320,7 @@ class FleetEngine:
         if self.checkpoint is not None:
             self.checkpoint.initialise(spec)
             on_disk.update(self.checkpoint.resumable_indices())
-            # Running total persisted in the manifest: a resumed run
+            # Running total kept in the run directory: a resumed run
             # reports evictions from every attempt, not just this one.
             corrupt = self.checkpoint.corrupt_evictions
         remaining = [

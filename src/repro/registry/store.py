@@ -19,7 +19,6 @@ identical across ``--jobs`` settings and re-runs.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -42,7 +41,7 @@ from repro.registry.records import (
     RegistryState,
     config_fingerprint,
 )
-from repro.storage import atomic_write
+from repro.storage import read_json, write_json
 
 STATE_NAME = "registry.json"
 
@@ -111,14 +110,12 @@ class PackageRegistry:
         """The slot's state, or an empty one when never written."""
         path = self.state_path(game_name, config)
         try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
+            payload = read_json(path, RegistryError, "registry state")
         except FileNotFoundError:
             return RegistryState(
                 game_name=game_name,
                 config_fingerprint=config_fingerprint(config),
             )
-        except (OSError, ValueError) as exc:
-            raise RegistryError(f"unreadable registry state {path}: {exc}") from exc
         state = RegistryState.from_dict(payload)
         if state.game_name != game_name:
             raise RegistryError(
@@ -129,10 +126,9 @@ class PackageRegistry:
 
     def _save_state(self, state: RegistryState, config: SnipConfig) -> Path:
         path = self.state_path(state.game_name, config)
-        document = json.dumps(state.to_dict(), indent=2, sort_keys=True) + "\n"
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
-            atomic_write(path, document.encode("utf-8"))
+            write_json(path, state.to_dict())
         except OSError as exc:
             raise RegistryError(f"cannot write registry state {path}: {exc}") from exc
         return path
@@ -144,14 +140,9 @@ class PackageRegistry:
         for path in sorted(self.root.glob(f"*/*/{STATE_NAME}")):
             fingerprint = path.parent.name
             game_name = path.parent.parent.name
-            try:
-                state = RegistryState.from_dict(
-                    json.loads(path.read_text(encoding="utf-8"))
-                )
-            except (OSError, ValueError) as exc:
-                raise RegistryError(
-                    f"unreadable registry state {path}: {exc}"
-                ) from exc
+            state = RegistryState.from_dict(
+                read_json(path, RegistryError, "registry state")
+            )
             yield game_name, fingerprint, state
 
     # -- publishing --------------------------------------------------------

@@ -68,9 +68,9 @@ from repro.registry.metrics import measure_package
 from repro.registry.promotion import PromotionPolicy
 from repro.registry.rollout import judge_cohorts
 from repro.registry.store import PackageRegistry
-from repro.service.ledger import CycleLedger, canonical_json
+from repro.service.ledger import CycleLedger
 from repro.service.reports import DeviceReport, ReportQueue
-from repro.storage import exclusive_create
+from repro.storage import create_json, read_json
 
 #: Bump on incompatible changes to the run-directory layout.
 SERVICE_FORMAT_VERSION = 1
@@ -286,19 +286,11 @@ class SnipService:
                 "policy": dataclasses.asdict(self.policy),
             }
             try:
-                exclusive_create(
-                    self.manifest_path,
-                    canonical_json(manifest).encode("utf-8"),
-                )
+                create_json(self.manifest_path, manifest)
                 return
             except FileExistsError:
                 pass  # lost a create race; validate the winner's below
-        try:
-            manifest = json.loads(self.manifest_path.read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:
-            raise ServiceError(
-                f"unreadable service manifest {self.manifest_path}: {exc}"
-            ) from exc
+        manifest = read_json(self.manifest_path, ServiceError, "service manifest")
         if manifest.get("format_version") != SERVICE_FORMAT_VERSION:
             raise ServiceError(
                 f"service run format {manifest.get('format_version')!r} does "

@@ -20,15 +20,10 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
 from repro.errors import ServiceError
-from repro.storage import atomic_write
+from repro.storage import canonical_json, read_json, write_json
 
 #: Bump on incompatible changes to the ledger document layout.
 LEDGER_FORMAT_VERSION = 1
-
-
-def canonical_json(payload: Any) -> str:
-    """Render a JSON document in the ledger's canonical byte form."""
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def canonicalize(payload: Any) -> Any:
@@ -56,10 +51,7 @@ class CycleLedger:
     # -- persistence -------------------------------------------------------
 
     def _load(self) -> None:
-        try:
-            document = json.loads(self.path.read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:
-            raise ServiceError(f"unreadable cycle ledger {self.path}: {exc}") from exc
+        document = read_json(self.path, ServiceError, "cycle ledger")
         if document.get("format_version") != LEDGER_FORMAT_VERSION:
             raise ServiceError(
                 f"cycle ledger format {document.get('format_version')!r} does "
@@ -76,7 +68,7 @@ class CycleLedger:
         self._cycles = cycles
 
     def _persist(self) -> None:
-        atomic_write(self.path, canonical_json(self.to_dict()).encode("utf-8"))
+        write_json(self.path, self.to_dict())
 
     def to_dict(self) -> Dict[str, Any]:
         """The full canonical document."""
@@ -118,7 +110,9 @@ class CycleLedger:
         return None
 
     def begin_cycle(self, index: int) -> Dict[str, Any]:
-        """Open (or reopen) the record for one cycle."""
+        """Open (or reopen) the record for one cycle, in memory: an
+        empty record is not a commit point, so a crash before the first
+        :meth:`record_stage` persists it resumes at the same index."""
         existing = self.cycle(index)
         if existing is not None:
             return existing
@@ -129,7 +123,6 @@ class CycleLedger:
             )
         record: Dict[str, Any] = {"index": index, "complete": False, "stages": {}}
         self._cycles.append(record)
-        self._persist()
         return record
 
     def complete_cycle(self, index: int) -> None:

@@ -14,14 +14,12 @@ overwrite with identical bytes rather than a duplicate.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Sequence, Tuple, Union
 
 from repro.errors import ServiceError
-from repro.service.ledger import canonical_json
-from repro.storage import atomic_write
+from repro.storage import read_json, write_json
 
 #: Bump on incompatible changes to the batch-file layout.
 BATCH_FORMAT_VERSION = 1
@@ -150,9 +148,7 @@ class ReportQueue:
             producer_cycle=producer_cycle,
             reports=tuple(reports),
         )
-        atomic_write(
-            self.path(sequence), canonical_json(batch.to_dict()).encode("utf-8")
-        )
+        write_json(self.path(sequence), batch.to_dict())
         return batch
 
     def pending(self) -> List[int]:
@@ -173,11 +169,7 @@ class ReportQueue:
     def load(self, sequence: int) -> ReportBatch:
         """Read one pending batch."""
         path = self.path(sequence)
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:
-            raise ServiceError(f"unreadable report batch {path}: {exc}") from exc
-        batch = ReportBatch.from_dict(payload)
+        batch = ReportBatch.from_dict(read_json(path, ServiceError, "report batch"))
         if batch.sequence != sequence:
             raise ServiceError(
                 f"report batch {path} carries sequence {batch.sequence}"

@@ -101,9 +101,7 @@ def test_initialise_race_loser_is_loud(tmp_path, small_spec, monkeypatch):
         winner.initialise(small_spec)
         exclusive_create(path, data)
 
-    monkeypatch.setattr(
-        "repro.fleet.checkpoint.exclusive_create", write_after_winner
-    )
+    monkeypatch.setattr("repro.storage.exclusive_create", write_after_winner)
     with pytest.raises(CheckpointError, match="lost initialisation race"):
         loser.initialise(small_spec)
     # The winner's manifest survived intact and still validates.
@@ -192,14 +190,16 @@ def test_corrupt_evictions_survive_store_restarts(
     assert CheckpointStore(tmp_path / "run").corrupt_evictions == 2
 
 
-def test_manifestless_store_counts_evictions_in_memory_only(tmp_path):
+def test_manifestless_store_counts_evictions_without_a_manifest(tmp_path):
     # A store that was never initialised has no manifest; eviction
-    # accounting must not invent one.
+    # accounting lives in the run directory's counter file and must not
+    # invent one.
     store = CheckpointStore(tmp_path / "bare")
     store.shard_dir.mkdir(parents=True)
     store.shard_path(0).write_bytes(b"junk")
     assert store.load_resumable(0) is None
     assert store.corrupt_evictions == 1
+    assert CheckpointStore(tmp_path / "bare").corrupt_evictions == 1
     assert not store.manifest_path.exists()
 
 

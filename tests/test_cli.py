@@ -269,6 +269,57 @@ class TestServeCommand:
         assert "different service config" in stderr
 
 
+class TestStoreErrors:
+    """A damaged or mismatched store is one error line and exit 1 (exit 2
+    for ``ota-info``), not a traceback."""
+
+    def test_serve_on_a_torn_registry_state(self, tmp_path, capsys):
+        from repro.core.config import SnipConfig
+        from repro.registry.records import config_fingerprint
+
+        run_dir = tmp_path / "run"
+        state = (
+            run_dir / "registry" / "colorphun"
+            / config_fingerprint(SnipConfig()) / "registry.json"
+        )
+        state.parent.mkdir(parents=True)
+        state.write_text('{"format_version": 1, "entr')
+        code, text = run_cli(
+            "serve", "--game", "colorphun", "--cycles", "1", "--quiet",
+            "--run-dir", str(run_dir), "--devices", "2", "--duration", "2",
+            "--shard-size", "2", "--profile-duration", "3",
+            "--eval-duration", "3",
+        )
+        stderr = capsys.readouterr().err
+        assert code == 1 and text == ""
+        assert stderr.startswith("serve error: unreadable registry state ")
+        assert stderr.count("\n") == 1
+
+    def test_fleet_checkpoint_of_another_spec(self, tmp_path, capsys):
+        from repro.fleet import CheckpointStore, FleetSpec
+
+        checkpoint = tmp_path / "ck"
+        CheckpointStore(checkpoint).initialise(
+            FleetSpec(game_name="colorphun", devices=2, seed=99)
+        )
+        code, text = run_cli(
+            "fleet", "--game", "colorphun", "--devices", "2",
+            "--sessions", "1", "--duration", "2", "--shard-size", "1",
+            "--profile-duration", "4", "--no-federate",
+            "--checkpoint", str(checkpoint),
+        )
+        stderr = capsys.readouterr().err
+        assert code == 1 and text == ""
+        assert stderr.startswith("fleet error: ") and stderr.count("\n") == 1
+        assert "use a fresh --checkpoint directory" in stderr
+
+    def test_ota_info_on_a_missing_file(self, tmp_path, capsys):
+        code, text = run_cli("ota-info", str(tmp_path / "missing.json"))
+        stderr = capsys.readouterr().err
+        assert code == 2 and text == ""
+        assert stderr.startswith("ota-info error: ") and stderr.count("\n") == 1
+
+
 class TestExtensionCommands:
     def test_experiment_accepts_extension_ids(self):
         args = build_parser().parse_args(["experiment", "quantization"])

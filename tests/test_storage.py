@@ -1,21 +1,39 @@
-"""Atomic publication: unique staging, no leftovers, last writer wins.
+"""The record layer: atomic publication and every store's damaged files.
 
-`repro.storage` is the only module that writes files; every other
-store publishes through it.
+`repro.storage` is the only module that writes files or imports
+pickle; every other store publishes and reads through it. Publication
+stages uniquely, leaves nothing behind and lets the last writer win;
+a damaged file is always caught, as an evicted miss or a typed error.
 """
 
 from __future__ import annotations
 
 import ast
 import os
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Any, Callable, Optional, Type
 
 import pytest
 
 from repro import storage
+from repro.core.config import SnipConfig
+from repro.core.package_cache import PackageCache
+from repro.core.profiler import CloudProfiler
 from repro.core.selection import SelectedInputs
-from repro.core.serialization import dump_table
+from repro.core.serialization import dump_table, load_table, table_to_dict
 from repro.core.table import SnipTable
+from repro.errors import (
+    CheckpointError,
+    MemoizationError,
+    RegistryError,
+    ServiceError,
+)
+from repro.fleet import CheckpointStore, FleetSpec
+from repro.fleet.work import ShardTask, run_shard
+from repro.registry import PackageMetrics, PackageRegistry
+from repro.service import CycleLedger, ServiceConfig, SnipService
+from repro.service.reports import DeviceReport, ReportQueue
 from repro.storage import atomic_write
 
 
@@ -141,3 +159,204 @@ def test_storage_is_the_only_write_site():
         if lines:
             writers[str(path.relative_to(SOURCE_ROOT))] = lines
     assert set(writers) == {"storage.py"}, writers
+
+
+def _imports_pickle(tree: ast.AST) -> bool:
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) and any(
+            alias.name == "pickle" for alias in node.names
+        ):
+            return True
+        if isinstance(node, ast.ImportFrom) and node.module == "pickle":
+            return True
+    return False
+
+
+def test_storage_is_the_only_pickle_importer():
+    importers = [
+        str(path.relative_to(SOURCE_ROOT))
+        for path in sorted(SOURCE_ROOT.rglob("*.py"))
+        if _imports_pickle(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert importers == ["storage.py"]
+
+
+# -- the store fault matrix --------------------------------------------------
+#
+# Every persisted format, damaged four ways: cut at every proper
+# prefix, one byte appended, replaced by garbage, and replaced by a
+# JSON document that is not an object. A package entry or
+# a checkpoint shard is evicted as a miss and counted once; every other
+# file raises its store's typed error. The one damaged file a store may
+# accept is a JSON document cut only in its trailing newline, which
+# parses to the same document.
+
+GAME = "colorphun"
+GARBAGE = b"\x00\xff not a stored file \x80" * 4
+
+
+@dataclass
+class Persisted:
+    """A real file one store wrote, and how that store reads it back."""
+
+    path: Path
+    load: Callable[[], Any]
+    error: Optional[Type[Exception]] = None
+    evictions: Optional[Callable[[], int]] = None
+
+
+@pytest.fixture(scope="module")
+def fault_spec():
+    return FleetSpec(
+        game_name=GAME,
+        devices=1,
+        duration_s=2.0,
+        seed=1,
+        shard_size=1,
+        profile_duration_s=3.0,
+        federate=False,
+    )
+
+
+@pytest.fixture(scope="module")
+def fault_package(fault_spec):
+    return CloudProfiler(SnipConfig(), cache=None).build_package_from_sessions(
+        GAME, seeds=[1], duration_s=fault_spec.profile_duration_s
+    )
+
+
+def _package_entry(root, package, spec):
+    cache = PackageCache(root)
+    return Persisted(
+        cache.store("key", package),
+        lambda: cache.load("key"),
+        evictions=cache.corrupt_evictions,
+    )
+
+
+def _checkpoint_shard(root, package, spec):
+    store = CheckpointStore(root)
+    store.initialise(spec)
+    path = store.save(
+        run_shard(
+            ShardTask(
+                shard_index=0,
+                spec=spec,
+                device_ids=(0,),
+                selection=package.selection,
+                table=package.table,
+                config=SnipConfig(),
+            )
+        )
+    )
+    return Persisted(
+        path,
+        lambda: store.load_resumable(0),
+        evictions=lambda: store.corrupt_evictions,
+    )
+
+
+def _checkpoint_manifest(root, package, spec):
+    CheckpointStore(root).initialise(spec)
+    return Persisted(
+        CheckpointStore(root).manifest_path,
+        lambda: CheckpointStore(root).initialise(spec),
+        error=CheckpointError,
+    )
+
+
+def _service_manifest(root, package, spec):
+    config = ServiceConfig(game_name=GAME)
+    return Persisted(
+        SnipService(config, root).manifest_path,
+        lambda: SnipService(config, root).config,
+        error=ServiceError,
+    )
+
+
+def _ledger(root, package, spec):
+    path = root / "ledger.json"
+    ledger = CycleLedger(path)
+    ledger.begin_cycle(0)
+    ledger.record_stage(0, "ingest", {"batches": [0], "reports": 1})
+    ledger.complete_cycle(0)
+    return Persisted(path, lambda: CycleLedger(path).to_dict(), error=ServiceError)
+
+
+def _report_batch(root, package, spec):
+    queue = ReportQueue(root)
+    report = DeviceReport(
+        device_id=0, archetype="casual", cohort="champion",
+        sessions=1, events=40, hits=30, misses=10,
+    )
+    queue.enqueue([report], producer_cycle=0, sequence=0)
+    return Persisted(
+        queue.path(0), lambda: queue.load(0).to_dict(), error=ServiceError
+    )
+
+
+def _registry_state(root, package, spec):
+    registry = PackageRegistry(root)
+    config = SnipConfig()
+    metrics = PackageMetrics(
+        hit_rate=0.9, selection_accuracy=0.99, selected_fields=3,
+        table_entries=package.table.entry_count, table_bytes=512,
+    )
+    registry.publish(GAME, config, package, metrics)
+    return Persisted(
+        registry.state_path(GAME, config),
+        lambda: registry.load_state(GAME, config).to_dict(),
+        error=RegistryError,
+    )
+
+
+def _ota_file(root, package, spec):
+    path = root / "ota.json"
+    dump_table(package.table, str(path))
+    return Persisted(
+        path, lambda: table_to_dict(load_table(str(path))), error=MemoizationError
+    )
+
+
+STORES = {
+    "package-entry": _package_entry,
+    "checkpoint-shard": _checkpoint_shard,
+    "checkpoint-manifest": _checkpoint_manifest,
+    "service-manifest": _service_manifest,
+    "cycle-ledger": _ledger,
+    "report-batch": _report_batch,
+    "registry-state": _registry_state,
+    "ota-file": _ota_file,
+}
+
+
+def _damaged(data: bytes):
+    """Every proper prefix, one appended byte, garbage, and an array."""
+    for cut in range(len(data)):
+        yield data[:cut]
+    yield data + b"x"
+    yield GARBAGE
+    yield b"[]\n"
+
+
+@pytest.mark.parametrize("store", sorted(STORES))
+def test_every_damaged_file_is_caught(tmp_path, store, fault_package, fault_spec):
+    persisted = STORES[store](tmp_path, fault_package, fault_spec)
+    data = persisted.path.read_bytes()
+    intact = persisted.load()
+    if persisted.evictions is not None:
+        assert intact is not None  # the real file is a hit
+    for damaged in _damaged(data):
+        persisted.path.write_bytes(damaged)
+        if persisted.evictions is not None:
+            before = persisted.evictions()
+            assert persisted.load() is None, len(damaged)
+            assert not persisted.path.exists()
+            assert persisted.evictions() == before + 1
+            continue
+        try:
+            loaded = persisted.load()
+        except persisted.error:
+            continue
+        assert damaged == data[:-1] and data.endswith(b"\n"), len(damaged)
+        assert loaded == intact
