@@ -224,13 +224,15 @@ class DeliveryPatterns:
         self._by_type: Dict[EventType, Pattern] = {}
 
     def charge(self, event: Event) -> None:
-        """Tick the game engine and append the event's delivery + upkeep."""
-        game = self._game
-        game.advance_engine(event)
+        """Append the event's delivery + upkeep charges.
+
+        The game's engine tick is not part of it: the caller runs it
+        where the game's state is live.
+        """
         pattern = self._by_type.get(event.event_type)
         if pattern is None:
             pattern = self._by_type[event.event_type] = delivery_upkeep_pattern(
-                game, event, self._soc.profiles
+                self._game, event, self._soc.profiles
             )
         self._soc.meter.extend(*pattern)
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.android.emulator import Emulator
 from repro.android.events import Event, EventType
@@ -32,7 +32,7 @@ from repro.core.selection import SelectedInputs
 from repro.core.table import SnipTable, TableEntry
 from repro.errors import ProfilerError
 from repro.games.base import FieldWrite
-from repro.games.handler_memo import MemoEntry, handler_memo
+from repro.games.handler_memo import MemoEntry, MemoWalk, Signature, event_signature
 from repro.games.registry import GAME_CONTENT_SEED, create_game, fresh_game
 
 #: (event_type, key) — the federated aggregation unit.
@@ -62,7 +62,8 @@ SessionFold = Tuple[int, Tuple, Tuple]
 KeyPlans = Dict[EventType, Tuple[Tuple[str, str], ...]]
 
 #: Per-(selection, game) fold state: the selection's key plans and a
-#: cache of session folds keyed by the session's event-value stream.
+#: cache of session folds keyed by the session's signature stream
+#: (:func:`~repro.games.handler_memo.event_signature` per event).
 #: The fold replays every session on a fresh content-seed game, so its
 #: records are a pure function of ``(game_name, selection,
 #: [(event_type, values)...])`` — timestamps and sequence numbers never
@@ -176,35 +177,40 @@ class ContributionBuilder:
             contribution.events_observed += 1
         self._sessions += 1
 
-    def add_session_events(self, events: Sequence[Event], session: int) -> None:
+    def add_session_events(
+        self,
+        events: Sequence[Event],
+        session: int,
+        signatures: Optional[Sequence[Signature]] = None,
+    ) -> None:
         """Fused fast-path fold: one pass, no emulator, no re-replay.
 
         Statistics-identical to :meth:`add_session` over a trace of the
         same events: the emulator's per-event
         ``ProfileRecord`` exists only to be torn back apart into a key
-        and a trace, so this folds straight from the live replay.
+        and a trace, so this folds straight from a walk over the
+        handler memo. ``signatures`` holds each event's
+        :func:`~repro.games.handler_memo.event_signature`, when the
+        caller has them.
 
-        Session folds are memoised on the event-value stream: two
+        Session folds are memoised on the signature stream: two
         devices whose sessions carry the same ``(type, values)``
         sequence replay to the same fold records (the content-seed game
         makes the trajectory a pure function of the stream), so only
-        the first pays the handler replay. The cached
+        the first pays the walk. The cached
         :data:`SessionFold` holds the exact operands — grouped per
         slot, each group in event order — that the scalar fold feeds
         its dicts, so replaying it reproduces every float addition and
         every dict insertion bit for bit.
         """
         contribution = self.contribution
-        stream = tuple(
-            [
-                (event.event_type.value, tuple(event.values.items()))
-                for event in events
-            ]
-        )
+        if signatures is None:
+            signatures = [event_signature(event) for event in events]
+        stream = tuple(signatures)
         cache = self._fold_cache
         cached = cache.get(stream)
         if cached is None:
-            cached = _compact_fold(self._fold_events(events))
+            cached = _compact_fold(self._fold_events(events, signatures))
             if len(cache) < _FOLD_CACHE_CAP:
                 cache[stream] = cached
         observed, per_slot, writes_firsts = cached
@@ -233,50 +239,31 @@ class ContributionBuilder:
         self._sessions += 1
 
     def _fold_events(
-        self, events: Sequence[Event]
+        self, events: Sequence[Event], signatures: Sequence[Signature]
     ) -> Tuple[Tuple[FoldRecord, ...], int]:
-        """Replay one session and extract its fold records.
+        """Walk one session over the handler memo and extract its fold
+        records.
 
-        The ``advance_engine`` → history capture → ``process``
-        sequencing matches the emulator's snapshot timing exactly.
-
-        Per-event memo: the game's process-wide handler memo
-        (:mod:`repro.games.handler_memo`) keys each event on ``(type,
-        values, state cells, screen)``, which determines both the trace
-        and the mutations. Repeats — idle frame ticks dominate real
-        streams, and the fleet's baseline pass has usually just walked
-        the same session — replay the recorded writes and reuse the
-        entry's fold record instead of running the handler.
+        The walk (:class:`~repro.games.handler_memo.MemoWalk`) yields
+        the entry each event applies, with the engine tick → handler
+        sequencing the emulator snapshots. Known transitions — the
+        fleet's baseline pass has usually just walked the same session
+        — cost a dict probe; the rest run the handler or replay a memo
+        entry on a live game. Each entry caches its fold record under
+        this selection's plans; a new record reads history inputs from
+        the state the entry's handler ran on.
         """
         plans = self._plans
         game = fresh_game(self.contribution.game_name, seed=GAME_CONTENT_SEED)
-        memo = handler_memo(game)
-        lookup = memo.lookup
-        apply_outputs = game.apply_outputs
-        state_get = game.state.get
+        step = MemoWalk(game).step
+        fields = {name: index for index, name in enumerate(game.state.field_names())}
         records: List[FoldRecord] = []
-        for event in events:
-            game.advance_engine(event)
-            key, entry = lookup(game, event)
-            if entry is not None:
-                if entry.fold_plans is plans:
-                    record = entry.fold_record
-                else:
-                    # Read before the writes land: equal keys mean the
-                    # state now is the state the handler ran on.
-                    record = _fold_record(
-                        event, plans.get(event.event_type), state_get, entry
-                    )
-                    entry.fold_plans, entry.fold_record = plans, record
-                if entry.writes:
-                    apply_outputs(entry.writes)
+        for event, signature in zip(events, signatures):
+            entry = step(event, signature)
+            if entry.fold_plans is plans:
+                record = entry.fold_record
             else:
-                plan = plans.get(event.event_type)
-                hist_values = {
-                    name: state_get(name) for kind, name in plan or () if kind == "hist"
-                }
-                entry = memo.record(key, game.process(event))
-                record = _fold_record(event, plan, hist_values.get, entry)
+                record = _fold_record(event, plans.get(event.event_type), fields, entry)
                 entry.fold_plans, entry.fold_record = plans, record
             if record is not None:
                 records.append(record)
@@ -294,26 +281,29 @@ class ContributionBuilder:
 def _fold_record(
     event: Event,
     plan: Optional[Tuple[Tuple[str, str], ...]],
-    hist: Callable[[str], Any],
+    fields: Dict[str, int],
     entry: MemoEntry,
 ) -> Optional[FoldRecord]:
     """One event's fold record under its type's key plan.
 
-    ``None`` for a type outside the selection. ``hist`` reads a history
-    field as the handler saw it; extern key values come from the
-    handler's extern reads (absent reads yield ``None``), mirroring
-    ``record_inputs``.
+    ``None`` for a type outside the selection. History key values come
+    from the state the entry's handler ran on (``fields`` gives each
+    field's position among its values; an unknown field yields ``None``),
+    extern key values from the handler's extern reads (absent reads
+    yield ``None``), mirroring ``record_inputs``.
     """
     if plan is None:
         return None
     event_values = event.values
+    values = entry.state[0]
     extern_values = entry.extern_values or {}
     key_parts = []
     for kind, name in plan:
         if kind == "event":
             key_parts.append(event_values.get(name))
         elif kind == "hist":
-            key_parts.append(hist(name))
+            index = fields.get(name)
+            key_parts.append(None if index is None else values[index])
         else:
             key_parts.append(extern_values.get(name))
     return (

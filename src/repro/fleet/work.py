@@ -22,7 +22,7 @@ from repro.core.selection import SelectedInputs
 from repro.core.table import SnipTable
 from repro.errors import FleetError
 from repro.fleet.spec import COHORT_CHALLENGER, COHORT_CHAMPION, FleetSpec
-from repro.games.handler_memo import MemoBaselineLoop
+from repro.games.handler_memo import MemoBaselineLoop, event_signature
 from repro.games.registry import GAME_CONTENT_SEED, create_game, fresh_game
 from repro.soc.energy import ColumnarMeter, EnergyReport, merge_reports
 from repro.soc.soc import snapdragon_821
@@ -184,27 +184,19 @@ def run_device_reference(
 def _replay_columnar(runner, events, keys, effective_s: float, soc) -> None:
     """Feed materialised session events through a runner with the clock.
 
-    ``keys`` carries per-event precomputed probe keys (from
-    :meth:`SnipRuntime.session_keys`) or ``None`` for runners whose
-    ``deliver`` takes no key (the baseline loop).
+    ``keys`` carries one key per event for ``runner.deliver``: the SNIP
+    runtime's precomputed probe keys (:meth:`SnipRuntime.session_keys`)
+    or the baseline loop's event signatures.
     """
     clock = 0.0
     deliver = runner.deliver
     advance = soc.advance_time
-    if keys is None:
-        for event in events:
-            timestamp = event.timestamp
-            if timestamp > clock:
-                advance(timestamp - clock)
-                clock = timestamp
-            deliver(event)
-    else:
-        for event, key in zip(events, keys):
-            timestamp = event.timestamp
-            if timestamp > clock:
-                advance(timestamp - clock)
-                clock = timestamp
-            deliver(event, key)
+    for event, key in zip(events, keys):
+        timestamp = event.timestamp
+        if timestamp > clock:
+            advance(timestamp - clock)
+            clock = timestamp
+        deliver(event, key)
     if effective_s > clock:
         advance(effective_s - clock)
 
@@ -226,10 +218,12 @@ def run_device(
     (each event materialised exactly once), games come from the
     template cache, energy lands in append-only :class:`ColumnarMeter`
     ledgers fed by static delivery/upkeep cost patterns, probe keys for
-    event-only selections are precomputed per session, the baseline
-    pass and the federated statistics fold share the game's handler
-    memo (the fold replays what the baseline pass just recorded), and
-    the fold runs fused over the already-materialised events.
+    event-only selections are precomputed per session, and each event's
+    signature is built once per session for the baseline pass and the
+    federated statistics fold. Both walk the session over the game's
+    handler memo (:class:`~repro.games.handler_memo.MemoWalk`): the
+    fold follows the transitions the baseline pass just took, and runs
+    fused over the already-materialised events.
     Byte-identical to :func:`run_device_reference` — same
     ``DeviceResult`` pickles, same fleet reports — as asserted by the
     golden-equivalence suite.
@@ -267,6 +261,7 @@ def run_device(
     )
     for session, trace in enumerate(sessions):
         events = trace.events
+        signatures = [event_signature(event) for event in events]
         result.events += len(events)
         result.raw_uplink_bytes += trace.uplink_bytes
         if spec.measure_energy:
@@ -284,10 +279,10 @@ def run_device(
             base_soc = snapdragon_821(meter=ColumnarMeter())
             base_game = fresh_game(spec.game_name, seed=GAME_CONTENT_SEED)
             loop = MemoBaselineLoop(base_soc, base_game)
-            _replay_columnar(loop, events, None, effective_s, base_soc)
+            _replay_columnar(loop, events, signatures, effective_s, base_soc)
             result.baseline_joules += base_soc.meter.total_joules
         if builder is not None:
-            builder.add_session_events(events, session)
+            builder.add_session_events(events, session, signatures)
     if spec.measure_energy:
         result.report = merge_reports(session_reports)
     if builder is not None:

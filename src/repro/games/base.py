@@ -162,9 +162,7 @@ class ProcessingTrace:
 
     def output_signature(self) -> Tuple[Tuple[str, str, Any], ...]:
         """Hashable description of all outputs, for equivalence classes."""
-        return tuple(
-            sorted((write.name, write.category.value, write.value) for write in self.writes)
-        )
+        return writes_signature(self.writes)
 
     def output_class(self) -> int:
         """Stable 64-bit label of the output signature (ML target)."""
@@ -182,6 +180,13 @@ class ProcessingTrace:
     def total_cycles(self) -> int:
         """Dynamic cycles on any core — the Fig. 6 coverage weight."""
         return self.cpu_big_cycles + self.cpu_little_cycles + self.func_cycles
+
+
+def writes_signature(writes: Sequence[FieldWrite]) -> Tuple[Tuple[str, str, Any], ...]:
+    """:meth:`ProcessingTrace.output_signature` of a trace with ``writes``."""
+    return tuple(
+        sorted((write.name, write.category.value, write.value) for write in writes)
+    )
 
 
 class ExternSource:

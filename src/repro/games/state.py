@@ -15,7 +15,7 @@ game logic having to do any bookkeeping.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, Optional, Tuple
 
 from repro.errors import StateError
 
@@ -44,6 +44,9 @@ class StateStore:
     def __init__(self) -> None:
         self._fields: Dict[str, StateField] = {}
         self._observer: Optional[StateObserver] = None
+        #: Every field's size in declaration order, kept until a size
+        #: changes: sizes rarely do, so :meth:`cells` states share one.
+        self._sizes: Optional[Tuple[int, ...]] = None
 
     # -- declaration ---------------------------------------------------
 
@@ -54,6 +57,7 @@ class StateStore:
         if nbytes <= 0:
             raise StateError(f"state field {name!r} needs a positive size, got {nbytes}")
         self._fields[name] = StateField(name=name, value=value, nbytes=nbytes)
+        self._sizes = None
 
     def has(self, name: str) -> bool:
         """Whether a field exists."""
@@ -101,9 +105,9 @@ class StateStore:
     def get(self, name: str, default: Any = None) -> Any:
         """Unobserved read returning ``default`` for unknown fields.
 
-        The batched contribution fold uses this where the scalar path
-        goes through a full :meth:`snapshot` dict and ``.get`` — one
-        probe instead of materialising every field.
+        The SNIP runtime's compiled ``hist:`` key readers use this where
+        the scalar path goes through a full :meth:`snapshot` dict and
+        ``.get`` — one probe instead of materialising every field.
         """
         field = self._fields.get(name)
         return default if field is None else field.value
@@ -115,15 +119,34 @@ class StateStore:
     def write(self, name: str, value: Any, nbytes: Optional[int] = None) -> None:
         """Write a field, optionally resizing it, notifying the observer."""
         field = self._require(name)
-        if nbytes is not None:
+        if nbytes is not None and nbytes != field.nbytes:
             if nbytes <= 0:
                 raise StateError(f"state field {name!r} resize must be positive, got {nbytes}")
             field.nbytes = nbytes
+            self._sizes = None
         field.value = value
         if self._observer is not None:
             self._observer("write", name, field.value, field.nbytes)
 
     # -- bulk ----------------------------------------------------------
+
+    def cells(self) -> Tuple[Tuple[Any, ...], Tuple[int, ...]]:
+        """Every field's value and every field's size, in declaration
+        order (not observed): the handler memo's view of the store. The
+        sizes tuple is shared until a size changes."""
+        fields = self._fields.values()
+        sizes = self._sizes
+        if sizes is None:
+            sizes = self._sizes = tuple([field.nbytes for field in fields])
+        return tuple([field.value for field in fields]), sizes
+
+    def restore(self, values: Iterable[Any], sizes: Tuple[int, ...]) -> None:
+        """Set every field from :meth:`cells` of a store with the same
+        fields (not observed)."""
+        for field, value, nbytes in zip(self._fields.values(), values, sizes):
+            field.value = value
+            field.nbytes = nbytes
+        self._sizes = sizes
 
     def field_names(self) -> Tuple[str, ...]:
         """All declared field names, in declaration order."""

@@ -71,10 +71,18 @@ class CycleLedger:
         write_json(self.path, self.to_dict())
 
     def to_dict(self) -> Dict[str, Any]:
-        """The full canonical document."""
+        """The full canonical document, as persisted.
+
+        A trailing cycle begun but neither complete nor holding a stage
+        record is left out: it lives in memory only (see
+        :meth:`begin_cycle`), so the document matches the file.
+        """
+        cycles = self._cycles
+        if cycles and not (cycles[-1].get("complete") or cycles[-1].get("stages")):
+            cycles = cycles[:-1]
         return {
             "format_version": LEDGER_FORMAT_VERSION,
-            "cycles": self._cycles,
+            "cycles": cycles,
         }
 
     def to_json(self) -> str:

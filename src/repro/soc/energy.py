@@ -356,12 +356,19 @@ class ColumnarMeter(EnergyMeter):
                 total_joules=0.0, by_component={}, by_group={},
                 by_tag={}, by_group_and_tag={},
             )
-        # The fold's one sort: the distinct key ids, each record's index
-        # into them, and each id's first record. Every axis derives its
-        # first-charge order from this.
-        ids, first, dense = np.unique(
-            key_ids, return_index=True, return_inverse=True
-        )
+        # Expanded key ids are small dense integers below the interned
+        # key count, so one first-occurrence pass over a table of that
+        # length finds the distinct ids (ascending), each id's first
+        # record and each record's index into the ids. Every axis
+        # derives its first-charge order from this.
+        count = len(key_ids)
+        first_seen = np.full(len(_KEY_META), count, dtype=np.int64)
+        np.minimum.at(first_seen, key_ids, np.arange(count))
+        ids = np.flatnonzero(first_seen < count)
+        first = first_seen[ids]
+        dense_of = np.empty(len(_KEY_META), dtype=np.int64)
+        dense_of[ids] = np.arange(len(ids))
+        dense = dense_of[key_ids]
         first_order = np.argsort(first)
         keys = [_KEY_META[key_id] for key_id in ids.tolist()]
         return EnergyReport(

@@ -1,10 +1,13 @@
-"""The process-wide handler memo and the memoised baseline loop.
+"""The process-wide handler memo, its walk and the memoised baseline loop.
 
 The memo replaces a handler run by the writes and work an earlier run
-with the same ``(type, values, state, screen)`` key recorded. These
-tests hold the memo to what ``EventLoop`` and an unmemoised fold
-produce, and to its three limits: unhashable keys, the cap, and the
-IDLE-components precondition of a cached charge pattern.
+with the same ``(type, values, state, screen)`` key recorded, and a
+walk follows the transitions earlier walks took between interned game
+states. These tests hold the memo and the walk to what running every
+handler, ``EventLoop`` and an unmemoised fold produce, and to their
+limits: unhashable keys, the cap, a Game left behind by known
+transitions, and the IDLE-components precondition of a cached charge
+pattern.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from collections import Counter
 
 import pytest
 
-from repro.android.dispatch import EventLoop
+from repro.android.dispatch import EventLoop, handler_work
 from repro.core import federated
 from repro.core.config import SnipConfig
 from repro.core.federated import ContributionBuilder
@@ -26,7 +29,13 @@ from repro.fleet import FleetEngine, FleetSpec
 from repro.fleet.work import run_device
 from repro.games import handler_memo
 from repro.games.base import Game
-from repro.games.handler_memo import MemoBaselineLoop
+from repro.games.handler_memo import (
+    MemoBaselineLoop,
+    MemoEntry,
+    MemoWalk,
+    StateNode,
+    event_signature,
+)
 from repro.games.registry import GAME_CONTENT_SEED, GAME_NAMES, create_game, fresh_game
 from repro.soc.component import PowerState
 from repro.soc.energy import ColumnarMeter
@@ -55,11 +64,11 @@ def handler_calls(monkeypatch):
         counts[phase[0]] += 1
         return process(self, event)
 
-    def marked_fold(self, events):
+    def marked_fold(self, events, *rest):
         counts["folds"] += 1
         phase[0] = "fold"
         try:
-            return fold_events(self, events)
+            return fold_events(self, events, *rest)
         finally:
             phase[0] = "outside"
 
@@ -285,3 +294,176 @@ class TestSharedWithTheFold:
         monkeypatch.setattr(federated, "_FOLD_CACHES", {})
         cold = FleetEngine(_fleet_spec(), cache=None).run().to_json()
         assert warm == cold
+
+
+#: Games whose sessions reuse almost no (state, event) pair, so their
+#: walks take the transition-miss path at nearly every event.
+REUSE_NOTHING = ("greenwall", "chase_whisply", "race_kings")
+
+
+@pytest.fixture(scope="module")
+def selections():
+    """Each game's profiled necessary-input selection, built on first use."""
+    built = {}
+
+    def selection(game_name):
+        if game_name not in built:
+            built[game_name] = CloudProfiler(
+                SnipConfig(), cache=None
+            ).build_package_from_sessions(
+                game_name, seeds=[1], duration_s=DURATION_S
+            ).selection
+        return built[game_name]
+
+    return selection
+
+
+def _clear_memos():
+    handler_memo._MEMOS.clear()
+    federated._FOLD_CACHES.clear()
+
+
+def _entry_view(entry):
+    """What an entry holds of its handler run."""
+    return (
+        entry.writes, entry.signature, entry.total_cycles,
+        entry.extern_values, entry.work,
+    )
+
+
+def _expected(game_name, trace, selection, make_game):
+    """What every handler run on a live game makes of a session: the
+    entries, the ``EventLoop`` report, and the scalar fold's upload."""
+    game = make_game()
+    entries = []
+    for event in trace.events:
+        game.advance_engine(event)
+        handled = game.process(event)
+        entries.append(_entry_view(MemoEntry(handled, handler_work(handled), None)))
+    report = _play(EventLoop(_columnar_soc(), make_game()), trace.events)
+    builder = ContributionBuilder(0, game_name, selection)
+    builder.add_session(trace, 0)
+    return entries, pickle.dumps(report), pickle.dumps(builder.finish())
+
+
+def _walked(game_name, events, selection, make_game, prepare):
+    """The same three, from the walk, the memo loop and the fold, each
+    on the memos ``prepare`` leaves (the fold with no session-fold
+    cache, so it walks too)."""
+    prepare()
+    step = MemoWalk(make_game()).step
+    entries = [_entry_view(step(event, event_signature(event))) for event in events]
+    prepare()
+    report = _play(MemoBaselineLoop(_columnar_soc(), make_game()), events)
+    prepare()
+    federated._FOLD_CACHES.clear()
+    builder = ContributionBuilder(0, game_name, selection)
+    builder.add_session_events(events, 0)
+    return entries, pickle.dumps(report), pickle.dumps(builder.finish())
+
+
+def _handlers_run(handler_calls):
+    return handler_calls["outside"] + handler_calls["fold"]
+
+
+def _game_maker(game_name):
+    return lambda: fresh_game(game_name, seed=GAME_CONTENT_SEED)
+
+
+class TestMemoWalk:
+    @pytest.mark.parametrize("game_name", GAME_NAMES)
+    def test_cold_and_warm_walks_match_every_handler_run(
+        self, cold_memos, handler_calls, selections, game_name
+    ):
+        trace = generate_trace(game_name, 3, DURATION_S)
+        make_game = _game_maker(game_name)
+        expected = _expected(game_name, trace, selections(game_name), make_game)
+        handler_calls.clear()
+        cold = _walked(
+            game_name, trace.events, selections(game_name), make_game, _clear_memos
+        )
+        assert cold == expected
+        if game_name in REUSE_NOTHING:
+            # Each cold pass (walk, loop, fold) runs nearly every handler.
+            assert _handlers_run(handler_calls) >= 0.9 * 3 * len(trace)
+        handler_calls.clear()
+        warm = _walked(
+            game_name, trace.events, selections(game_name), make_game, lambda: None
+        )
+        assert warm == expected
+        assert _handlers_run(handler_calls) == 0
+
+    def test_race_kings_ticks_its_engine(self):
+        assert type(fresh_game("race_kings")).advance_engine is not Game.advance_engine
+
+    @pytest.mark.parametrize("game_name", GAME_NAMES)
+    def test_a_miss_after_known_transitions_restores_the_game(
+        self, cold_memos, selections, monkeypatch, game_name
+    ):
+        trace = generate_trace(game_name, 3, DURATION_S)
+        events = trace.events
+        make_game = _game_maker(game_name)
+        expected = _expected(game_name, trace, selections(game_name), make_game)
+        restores = Counter()
+        restore = StateNode.restore
+
+        def counting_restore(node, game):
+            restores["calls"] += 1
+            restore(node, game)
+
+        monkeypatch.setattr(StateNode, "restore", counting_restore)
+
+        def first_half_walked():
+            # The full walk hits every transition of the first half on
+            # a Game it leaves behind, then misses.
+            _clear_memos()
+            step = MemoWalk(make_game()).step
+            for event in events[: len(events) // 2]:
+                step(event, event_signature(event))
+
+        walked = _walked(
+            game_name, events, selections(game_name), make_game, first_half_walked
+        )
+        assert walked == expected
+        assert restores["calls"] >= 3
+
+    def test_the_cap_holds(self, cold_memos, selections, monkeypatch):
+        trace = generate_trace("candy_crush", 3, DURATION_S)
+        make_game = _game_maker("candy_crush")
+        expected = _expected(
+            "candy_crush", trace, selections("candy_crush"), make_game
+        )
+        monkeypatch.setattr(handler_memo, "MEMO_CAP", 5)
+        for prepare in (_clear_memos, lambda: None):
+            walked = _walked(
+                "candy_crush", trace.events, selections("candy_crush"), make_game, prepare
+            )
+            assert walked == expected
+        memo = handler_memo.handler_memo(make_game())
+        assert len(memo._entries) == 5
+        assert len(memo._nodes) == 5
+        assert memo.transition_count == 5
+
+    def test_an_unhashable_state_cell_runs_every_handler(
+        self, cold_memos, handler_calls, selections, monkeypatch
+    ):
+        def game_with_a_list(*args, **kwargs):
+            game = fresh_game("candy_crush", seed=GAME_CONTENT_SEED)
+            game.state.declare("scratch", [0], 8)
+            return game
+
+        trace = generate_trace("candy_crush", 3, DURATION_S)
+        expected = _expected(
+            "candy_crush", trace, selections("candy_crush"), game_with_a_list
+        )
+        monkeypatch.setattr(federated, "fresh_game", game_with_a_list)
+        for prepare in (_clear_memos, lambda: None):
+            handler_calls.clear()
+            walked = _walked(
+                "candy_crush", trace.events, selections("candy_crush"),
+                game_with_a_list, prepare,
+            )
+            assert walked == expected
+            assert _handlers_run(handler_calls) == 3 * len(trace)
+        memo = handler_memo.handler_memo(game_with_a_list())
+        assert not memo._entries and not memo._nodes and memo.transition_count == 0

@@ -254,6 +254,42 @@ class TestServeCommand:
         assert "cycle 0: offline | promoted -> champion v1" in stdout
         assert stderr == ""  # --quiet silences the narration
 
+    @pytest.mark.parametrize("stop_cycle", [0, 1])
+    def test_serve_stopped_at_a_cycle_start_prints_the_ledger_on_disk(
+        self, tmp_path, monkeypatch, stop_cycle
+    ):
+        """A stop that lands between a cycle's start and its first stage
+        record prints the ledger the run directory holds, without the
+        empty cycle that only lived in memory."""
+        import signal
+
+        from repro import fleet
+        from repro.fleet.telemetry import CYCLE_STARTED
+        from repro.service.ledger import CycleLedger
+
+        def stop(event):
+            if event.kind == CYCLE_STARTED and event.payload["cycle"] == stop_cycle:
+                # What a SIGTERM arriving now runs: the daemon's handler.
+                signal.getsignal(signal.SIGTERM)(signal.SIGTERM, None)
+
+        class StoppingBus(fleet.TelemetryBus):
+            def __init__(self):
+                super().__init__()
+                self.subscribe(stop)
+
+        monkeypatch.setattr(fleet, "TelemetryBus", StoppingBus)
+        run_dir = tmp_path / "run"
+        code, stdout = run_cli(
+            "serve", "--game", "colorphun", "--cycles", "2", "--quiet",
+            "--run-dir", str(run_dir), "--devices", "2", "--duration", "2",
+            "--shard-size", "2", "--profile-duration", "3",
+            "--eval-duration", "3", "--format", "json",
+        )
+        assert code == 0
+        printed = json.loads(stdout)
+        assert [cycle["complete"] for cycle in printed["cycles"]] == [True] * stop_cycle
+        assert printed == CycleLedger(run_dir / "ledger.json").to_dict()
+
     def test_serve_rejects_mismatched_run_dir(self, tmp_path):
         run_dir = str(tmp_path / "run")
         args = [
