@@ -8,12 +8,10 @@ served by the fleet table immediately.
 """
 
 from repro.core.config import SnipConfig
-from repro.core.federated import federate
-from repro.core.profiler import CloudProfiler
 from repro.core.runtime import SnipRuntime
+from repro.fleet import FleetEngine, FleetSpec
 from repro.games.registry import GAME_CONTENT_SEED, create_game
 from repro.soc.soc import snapdragon_821
-from repro.users.population import Population
 from repro.users.sessions import run_baseline_session
 from repro.users.tracegen import generate_events
 
@@ -25,20 +23,19 @@ SESSION_S = 30.0
 def test_extension_federated_fleet(once):
     def run():
         config = SnipConfig()
-        package = CloudProfiler(config).build_package_from_sessions(
-            GAME, seeds=[1], duration_s=SESSION_S
+        spec = FleetSpec(
+            game_name=GAME,
+            devices=DEVICES,
+            sessions_per_device=2,
+            duration_s=SESSION_S,
+            seed=11,
+            profile_duration_s=SESSION_S,
+            measure_energy=False,
         )
-        population = Population(seed=11)
-        per_device = {
-            device_id: [
-                population.user_trace(GAME, device_id, session, SESSION_S)
-                for session in range(2)
-            ]
-            for device_id in range(DEVICES)
-        }
-        fleet_table, uplink = federate(
-            GAME, per_device, package.selection, config
-        )
+        engine = FleetEngine(spec, config=config)
+        report = engine.run()
+        package = engine.build_package()
+        fleet_table = report.fleet_table
         soc = snapdragon_821()
         runtime = SnipRuntime(
             soc, create_game(GAME, seed=GAME_CONTENT_SEED), fleet_table, config
@@ -54,7 +51,7 @@ def test_extension_federated_fleet(once):
         savings = 1 - soc.meter.total_joules / baseline.report.total_joules
         return {
             "entries": fleet_table.entry_count,
-            "uplink_bytes": uplink,
+            "uplink_bytes": report.uplink_bytes,
             "new_user_hit_rate": runtime.stats.hit_rate,
             "new_user_savings": savings,
             "centralized_backend_seconds": package.backend_seconds,

@@ -8,14 +8,14 @@ not avoid.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from repro.android.binder import Binder
 from repro.android.events import Event, EventType
 from repro.android.sensor_hub import SensorHub
 from repro.android.sensor_manager import SensorManager
 from repro.android.tracing import EventTracer
-from repro.soc.energy import TAG_EVENT, EnergyMeter, charge_key_id
+from repro.soc.energy import ColumnarMeter
 from repro.soc.power_profiles import PowerProfiles
 from repro.soc.soc import Soc, snapdragon_821
 
@@ -141,27 +141,6 @@ class EventLoop:
 Pattern = Tuple[Tuple[int, ...], Tuple[float, ...]]
 
 
-class _PatternRecorder(EnergyMeter):
-    """Meter that also captures the interned (key id, joules) stream."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.key_ids: List[int] = []
-        self.values: List[float] = []
-
-    def charge(
-        self,
-        component: str,
-        group,  # ComponentGroup; untyped to match the base signature cheaply
-        joules: float,
-        tag: str = TAG_EVENT,
-    ) -> None:
-        super().charge(component, group, joules, tag)
-        if joules:
-            self.key_ids.append(charge_key_id(component, group, tag))
-            self.values.append(joules)
-
-
 #: Static delivery+upkeep charge patterns keyed by (game name, event
 #: type, power profiles). Every charge those stages emit depends only on
 #: the event's *type* and the phone's constants — schema nbytes, sensor
@@ -177,8 +156,9 @@ def delivery_upkeep_pattern(
     """The exact charge sequence the scalar delivery + upkeep stages emit.
 
     Recorded once per ``(game, event type, profiles)`` by running the
-    scalar helpers on a scratch SoC built from ``profiles``, which
-    captures the precise charge order, values, and zero-skips. Valid
+    scalar helpers on a scratch SoC built from ``profiles`` on a
+    :class:`~repro.soc.energy.ColumnarMeter`, whose records keep the
+    precise charge order, values, and zero-skips. Valid
     only for SoCs with those profiles whose components are all IDLE
     (:attr:`~repro.soc.soc.Soc.idle`). Its two users check that before
     every event and raise :class:`~repro.errors.SimulationError`
@@ -189,7 +169,7 @@ def delivery_upkeep_pattern(
     key = (game.name, event.event_type, profiles)
     pattern = _COST_PATTERNS.get(key)
     if pattern is None:
-        meter = _PatternRecorder()
+        meter = ColumnarMeter()
         scratch = snapdragon_821(profiles=profiles, meter=meter)
         charge_delivery(
             scratch,
@@ -204,7 +184,7 @@ def delivery_upkeep_pattern(
         for ip_name, units in game.upkeep_ip_units_for(event.event_type).items():
             if units:
                 scratch.ip(ip_name).invoke(units, bytes_in=128 * 1024, tag="event")
-        pattern = _COST_PATTERNS[key] = (tuple(meter.key_ids), tuple(meter.values))
+        pattern = _COST_PATTERNS[key] = meter.records_since(0)
     return pattern
 
 

@@ -427,26 +427,28 @@ def _cmd_summary(out) -> int:
 
 
 def _cmd_federate(args, out) -> int:
-    from repro.core.federated import federate
+    from repro.fleet import FleetEngine, FleetSpec
     from repro.users.population import Population
 
-    config = SnipConfig()
-    package = CloudProfiler(config, cache=_cache_mode(args)).build_package_from_sessions(
-        args.game, seeds=[1], duration_s=args.duration
+    spec = FleetSpec(
+        game_name=args.game,
+        devices=args.devices,
+        sessions_per_device=args.sessions,
+        duration_s=args.duration,
+        seed=11,
+        profile_seeds=(1,),
+        profile_duration_s=args.duration,
+        measure_energy=False,
     )
-    population = Population(seed=11)
-    per_device = {
-        device_id: population.iter_columnar_sessions(
-            args.game, device_id, args.sessions, args.duration
-        )
-        for device_id in range(args.devices)
-    }
-    table, uplink = federate(args.game, per_device, package.selection, config)
-    print(f"fleet: {args.devices} devices x {args.sessions} sessions "
-          f"({population.census(args.devices)})", file=out)
-    print(f"fleet table: {table.entry_count} entries, "
-          f"{format_bytes(table.total_bytes)}", file=out)
-    print(f"uplink (statistics only): {format_bytes(uplink)}", file=out)
+    report = FleetEngine(spec, cache=_cache_mode(args)).run()
+    # The report's census is sorted by archetype name; this line keeps
+    # the population's archetype order.
+    census = Population(seed=spec.seed).census(spec.devices)
+    print(f"fleet: {spec.devices} devices x {spec.sessions_per_device} "
+          f"sessions ({census})", file=out)
+    print(f"fleet table: {report.table_entries} entries, "
+          f"{format_bytes(report.table_bytes)}", file=out)
+    print(f"uplink (statistics only): {format_bytes(report.uplink_bytes)}", file=out)
     return 0
 
 

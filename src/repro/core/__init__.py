@@ -11,12 +11,7 @@ the runtime short-circuits matching events (:mod:`repro.core.runtime`).
 
 from repro.core.config import SnipConfig
 from repro.core.devreport import DeveloperReport, build_developer_report
-from repro.core.federated import (
-    DeviceContribution,
-    FederatedAggregator,
-    build_device_contribution,
-    federate,
-)
+from repro.core.federated import DeviceContribution, FederatedAggregator
 from repro.core.fields import (
     FieldInfo,
     input_universe,
@@ -53,9 +48,7 @@ __all__ = [
     "QualityController",
     "QualityReport",
     "build_developer_report",
-    "build_device_contribution",
     "dump_table",
-    "federate",
     "load_table",
     "table_from_dict",
     "table_to_dict",

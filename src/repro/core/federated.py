@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.android.emulator import Emulator
 from repro.android.events import Event, EventType
@@ -123,9 +123,7 @@ class ContributionBuilder:
     materialising a device's whole session list — each trace is
     replayed, folded into the statistics, and dropped, so device-side
     memory is bounded by a single session however many sessions the
-    spec plays. Sessions must be added in session order; the emitted
-    statistics are identical to the batch
-    :func:`build_device_contribution` over the same traces.
+    spec plays. Sessions must be added in session order.
     """
 
     def __init__(
@@ -349,25 +347,6 @@ def _compact_fold(fold: Tuple[Tuple[FoldRecord, ...], int]) -> SessionFold:
     return observed, per_slot_rows, tuple(writes_firsts.items())
 
 
-def build_device_contribution(
-    device_id: int,
-    game_name: str,
-    traces: Iterable[RecordedTrace],
-    selection: SelectedInputs,
-) -> DeviceContribution:
-    """Device-side pass: replay own sessions, emit statistics.
-
-    The replay runs on the phone (it is the same deterministic app), so
-    the cloud's emulation cost disappears — the paper's stated goal for
-    the federated direction. ``traces`` is consumed exactly once, so
-    generators are fine.
-    """
-    builder = ContributionBuilder(device_id, game_name, selection)
-    for session, trace in enumerate(traces):
-        builder.add_session_events(trace.events, session)
-    return builder.finish()
-
-
 def _note_device(seen: List[int], device_id: int, cap: int) -> None:
     """Record a distinct device id, stopping once ``cap`` are known.
 
@@ -464,11 +443,12 @@ def federate_contributions(
 ) -> Tuple[SnipTable, int]:
     """Cloud-side merge of already-computed device statistics.
 
-    This is the entry point the fleet engine uses: workers return
-    :class:`DeviceContribution` payloads from their shards and the
-    reducer hands them here. Contributions are merged in device-id
-    order so the built table is identical however the shards were
-    scheduled.
+    The batch reference for the fleet's streaming
+    :class:`~repro.fleet.reducers.ContributionsAccumulator`:
+    :func:`~repro.fleet.reducers.reduce_contributions` collects the
+    :class:`DeviceContribution` payloads workers return and hands them
+    here. Contributions are merged in device-id order so the built
+    table is identical however the shards were scheduled.
     """
     aggregator = FederatedAggregator(selection, config)
     uplink = 0
@@ -476,21 +456,3 @@ def federate_contributions(
         uplink += contribution.upload_bytes
         aggregator.merge(contribution)
     return aggregator.build_table(), uplink
-
-
-def federate(
-    game_name: str,
-    per_device_traces: Dict[int, Iterable[RecordedTrace]],
-    selection: SelectedInputs,
-    config: SnipConfig,
-) -> Tuple[SnipTable, int]:
-    """End-to-end federation: devices compute, cloud merges.
-
-    Returns the fleet table and the total uplink bytes (the quantity the
-    federated design minimises against shipping raw profiles).
-    """
-    contributions = [
-        build_device_contribution(device_id, game_name, traces, selection)
-        for device_id, traces in per_device_traces.items()
-    ]
-    return federate_contributions(contributions, selection, config)

@@ -259,7 +259,7 @@ class HandlerContext:
 
     def hist(self, name: str) -> Any:
         """Read one In.History field from game state."""
-        value = self._state.read(name)
+        value = self._state.peek(name)
         self.trace.reads.append(
             FieldRead(name=f"hist:{name}", category=InputCategory.HISTORY,
                       value=value, nbytes=self._state.size_of(name))

@@ -7,15 +7,15 @@ that may change on write — the camera surface map of an AR game grows
 with scene clutter (paper Fig. 7c), which is exactly why History inputs
 cannot be indexed from static locations.
 
-Reads and writes can be observed through a registered observer; the
-handler context uses this to build the per-event I/O trace without the
-game logic having to do any bookkeeping.
+The store only holds and sizes the cells. The per-event I/O trace is
+:class:`~repro.games.base.HandlerContext`'s: it records each
+``FieldRead`` and ``FieldWrite`` as the handler goes through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, Iterator, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, Optional, Tuple
 
 from repro.errors import StateError
 
@@ -33,17 +33,11 @@ class StateField:
         return (self.value, self.nbytes)
 
 
-#: Observer signature: (kind, name, value, nbytes) with kind in
-#: {"read", "write"}.
-StateObserver = Callable[[str, str, Any, int], None]
-
-
 class StateStore:
-    """Named, observed, byte-accounted game-state cells."""
+    """Named, byte-accounted game-state cells."""
 
     def __init__(self) -> None:
         self._fields: Dict[str, StateField] = {}
-        self._observer: Optional[StateObserver] = None
         #: Every field's size in declaration order, kept until a size
         #: changes: sizes rarely do, so :meth:`cells` states share one.
         self._sizes: Optional[Tuple[int, ...]] = None
@@ -51,7 +45,7 @@ class StateStore:
     # -- declaration ---------------------------------------------------
 
     def declare(self, name: str, value: Any, nbytes: int) -> None:
-        """Create a field with its initial value (not observed)."""
+        """Create a field with its initial value."""
         if name in self._fields:
             raise StateError(f"state field {name!r} already declared")
         if nbytes <= 0:
@@ -79,31 +73,14 @@ class StateStore:
             fields[name] = StateField(name=name, value=value, nbytes=nbytes)
         return store
 
-    # -- observation ---------------------------------------------------
-
-    def set_observer(self, observer: Optional[StateObserver]) -> None:
-        """Install (or clear) the read/write observer."""
-        self._observer = observer
-
     # -- access --------------------------------------------------------
 
-    def read(self, name: str) -> Any:
-        """Read a field's value, notifying the observer."""
-        field = self._require(name)
-        if self._observer is not None:
-            self._observer("read", name, field.value, field.nbytes)
-        return field.value
-
     def peek(self, name: str) -> Any:
-        """Read a field's value without notifying the observer.
-
-        Used by the emulator's memory-dump snapshots and by the
-        useless-event detector; never by game logic.
-        """
+        """A field's value; raises :class:`StateError` for unknown fields."""
         return self._require(name).value
 
     def get(self, name: str, default: Any = None) -> Any:
-        """Unobserved read returning ``default`` for unknown fields.
+        """A field's value, or ``default`` for unknown fields.
 
         The SNIP runtime's compiled ``hist:`` key readers use this where
         the scalar path goes through a full :meth:`snapshot` dict and
@@ -117,7 +94,7 @@ class StateStore:
         return self._require(name).nbytes
 
     def write(self, name: str, value: Any, nbytes: Optional[int] = None) -> None:
-        """Write a field, optionally resizing it, notifying the observer."""
+        """Write a field, optionally resizing it."""
         field = self._require(name)
         if nbytes is not None and nbytes != field.nbytes:
             if nbytes <= 0:
@@ -125,14 +102,12 @@ class StateStore:
             field.nbytes = nbytes
             self._sizes = None
         field.value = value
-        if self._observer is not None:
-            self._observer("write", name, field.value, field.nbytes)
 
     # -- bulk ----------------------------------------------------------
 
     def cells(self) -> Tuple[Tuple[Any, ...], Tuple[int, ...]]:
         """Every field's value and every field's size, in declaration
-        order (not observed): the handler memo's view of the store. The
+        order: the handler memo's view of the store. The
         sizes tuple is shared until a size changes."""
         fields = self._fields.values()
         sizes = self._sizes
@@ -142,7 +117,7 @@ class StateStore:
 
     def restore(self, values: Iterable[Any], sizes: Tuple[int, ...]) -> None:
         """Set every field from :meth:`cells` of a store with the same
-        fields (not observed)."""
+        fields."""
         for field, value, nbytes in zip(self._fields.values(), values, sizes):
             field.value = value
             field.nbytes = nbytes
@@ -153,7 +128,7 @@ class StateStore:
         return tuple(self._fields)
 
     def snapshot(self) -> Dict[str, Tuple[Any, int]]:
-        """Full memory dump: {name: (value, nbytes)} (not observed).
+        """Full memory dump: {name: (value, nbytes)}.
 
         This is the emulator's stand-in for the Android heap-profiler
         dump the paper takes per event.

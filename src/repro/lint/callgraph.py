@@ -3,7 +3,8 @@
 The per-file rule packs see one module at a time, so a helper that
 returns ``time.time()`` is invisible once it is called from a reducer
 two modules away.  This module builds the shared substrate the
-interprocedural passes (``taint.py``, ``rules_concurrency.py``) run on:
+interprocedural passes (``taint.py``, ``rules_concurrency.py``,
+``rules_pickling.py``) run on:
 
 * :class:`ProjectIndex` — every module, class, and function in the
   scanned tree, with alias/re-export resolution and a base-class map;
@@ -28,7 +29,7 @@ from __future__ import annotations
 import ast
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.lint.core import FileContext
 
@@ -483,6 +484,13 @@ class ProjectGraph:
         """Outgoing resolved call edges of one function."""
         return self.calls.get(qualname, [])
 
+    def callee_at(self, caller: str, call: ast.Call) -> Optional[str]:
+        """The resolved callee of one call site in ``caller``, if any."""
+        for edge in self.calls.get(caller, []):
+            if edge.line == call.lineno and edge.column == call.col_offset:
+                return edge.callee
+        return None
+
     def reachable_from(
         self, roots: Sequence[str]
     ) -> Dict[str, Optional[CallEdge]]:
@@ -585,6 +593,48 @@ def local_function_defs(
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
         and node is not fn
     }
+
+
+def functions_returning(
+    graph: ProjectGraph,
+    returns_directly: Callable[[FunctionInfo, List[ast.expr]], bool],
+) -> Set[str]:
+    """Qualnames of functions that (can) return one kind of value.
+
+    A fixpoint over two clauses: ``returns_directly`` accepts the
+    function given its return expressions (a set display, a lambda),
+    or the function returns a call whose callee qualifies. The second
+    clause is what carries the kind through return values across
+    modules.
+    """
+    found: Set[str] = set()
+    returned_calls: Dict[str, List[str]] = {}
+    for qualname in sorted(graph.functions):
+        fn = graph.functions[qualname]
+        values = list(iter_return_values(fn.node))
+        if not values:
+            continue
+        if returns_directly(fn, values):
+            found.add(qualname)
+            continue
+        calls: List[str] = []
+        for value in values:
+            if isinstance(value, ast.Call):
+                callee = graph.callee_at(qualname, value)
+                if callee is not None:
+                    calls.append(callee)
+        if calls:
+            returned_calls[qualname] = calls
+    changed = True
+    while changed:
+        changed = False
+        for qualname in sorted(returned_calls):
+            if qualname in found:
+                continue
+            if any(callee in found for callee in returned_calls[qualname]):
+                found.add(qualname)
+                changed = True
+    return found
 
 
 # -- memoized construction -------------------------------------------------

@@ -142,11 +142,6 @@ class Suppressions:
             out.append((line, ALL_RULES))
         return out
 
-    @property
-    def file_wide(self) -> Set[str]:
-        """Rule ids silenced for the whole file."""
-        return set(self._file_wide)
-
 
 class ImportMap:
     """Resolves local names to the modules/attributes they import.

@@ -1,24 +1,18 @@
-"""Concurrency and process-boundary rules over the project call graph.
+"""Concurrency rule over the project call graph.
 
-The streaming engine (PR 7) runs ``run_shard`` inside pool workers:
-anything it reaches executes under fork/spawn, and anything a payload
-class carries crosses the pickle boundary.  Three hazards survive the
-per-file rule packs because they need the call graph to even see:
+The streaming engine runs ``run_shard`` inside pool workers:
+anything it reaches executes under fork/spawn.  One hazard survives
+the per-file rule packs because it needs the call graph to even see:
 
 * ``conc-global-mutation`` — a worker-reachable function mutating
   module-level state.  Each worker mutates its *own copy*, the parent
   never sees it, and ``--jobs 1`` silently disagrees with ``--jobs 4``.
-* ``conc-unpicklable-closure`` — a payload class smuggling a closure
-  (directly or via a helper that returns one) into a field, which
-  pickles fine in tests that never cross a process and explodes in the
-  pool.
-* ``flt-unordered-reduce`` — ``+=`` accumulation over an unordered
-  iterable inside the accumulator fold paths; float addition is not
-  associative, so hash/OS iteration order changes the bytes of the
-  report.
 
-All three share :func:`~repro.lint.callgraph.project_graph`, so a lint
-run builds the graph once for the whole project-scope pack.
+The two other worker-boundary hazards each have one owner: a closure
+stored on a payload class is a ``pck-lambda`` of ``pck-payload``
+(``rules_pickling.py``), and iteration in hash or OS order on the
+reducer fold surface is a ``det-taint-order`` of ``det-taint``
+(``taint.py``).
 """
 
 from __future__ import annotations
@@ -26,16 +20,8 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, List, Optional, Sequence, Set
 
-from repro.lint.callgraph import (
-    FunctionInfo,
-    ProjectGraph,
-    iter_return_values,
-    local_function_defs,
-    project_graph,
-    resolve_method_roots,
-)
+from repro.lint.callgraph import FunctionInfo, ProjectGraph, project_graph
 from repro.lint.core import FileContext, Finding, Rule, register_rule
-from repro.lint.rules_determinism import _is_set_producing, set_typed_locals
 
 #: Methods that mutate their receiver in place.
 _MUTATOR_METHODS = frozenset({
@@ -43,12 +29,6 @@ _MUTATOR_METHODS = frozenset({
     "pop", "popitem", "remove", "discard", "clear",
     "appendleft", "extendleft",
 })
-
-#: Filesystem enumerators that yield entries in OS order.
-_FS_ORDER_ORIGINS = frozenset({
-    "os.listdir", "os.scandir", "glob.glob", "glob.iglob",
-})
-_FS_ORDER_METHODS = frozenset({"iterdir", "glob", "rglob"})
 
 
 def _module_level_names(ctx: FileContext) -> Set[str]:
@@ -203,204 +183,3 @@ class GlobalMutationRule(Rule):
             if name in module_names and name not in locals_:
                 return name
         return None
-
-
-@register_rule
-class UnpicklableClosureRule(Rule):
-    """Payload classes must not capture closures through helpers.
-
-    The ``pck-payload`` trace already rejects ``Callable`` annotations
-    on payload dataclasses; this rule extends the same contract to the
-    dynamic path it cannot see — ``self.attr = make_handler()`` where
-    ``make_handler`` returns a lambda or nested function.  The closure
-    pickles only when nobody crosses a process, which is exactly the
-    configuration CI runs least.
-    """
-
-    id = "conc-unpicklable-closure"
-    description = "payload class stores a closure built by a helper"
-    scope = "project"
-
-    def check_project(
-        self, contexts: Sequence[FileContext]
-    ) -> Iterator[Finding]:
-        graph = project_graph(contexts)
-        returns_closure = self._returns_closure(graph)
-        for spec in self.config.pickle_roots:
-            cls = graph.index.class_by_spec(spec)
-            if cls is None:
-                continue
-            for method_name in sorted(cls.methods):
-                method = cls.methods[method_name]
-                yield from self._closure_stores(
-                    graph, method, returns_closure
-                )
-
-    @staticmethod
-    def _returns_closure(graph: ProjectGraph) -> Set[str]:
-        """Functions that (can) return a lambda or nested function."""
-        returns_closure: Set[str] = set()
-        returned_calls: Dict[str, List[str]] = {}
-        for qualname in sorted(graph.functions):
-            fn = graph.functions[qualname]
-            nested = local_function_defs(fn.node)
-            calls: List[str] = []
-            for value in iter_return_values(fn.node):
-                if isinstance(value, ast.Lambda):
-                    returns_closure.add(qualname)
-                elif isinstance(value, ast.Name) and value.id in nested:
-                    returns_closure.add(qualname)
-                elif isinstance(value, ast.Call):
-                    for edge in graph.callees(qualname):
-                        if (
-                            edge.line == value.lineno
-                            and edge.column == value.col_offset
-                        ):
-                            calls.append(edge.callee)
-                            break
-            if calls:
-                returned_calls[qualname] = calls
-        changed = True
-        while changed:
-            changed = False
-            for qualname in sorted(returned_calls):
-                if qualname in returns_closure:
-                    continue
-                if any(c in returns_closure for c in returned_calls[qualname]):
-                    returns_closure.add(qualname)
-                    changed = True
-        return returns_closure
-
-    def _closure_stores(
-        self,
-        graph: ProjectGraph,
-        method: FunctionInfo,
-        returns_closure: Set[str],
-    ) -> Iterator[Finding]:
-        self_name = (
-            method.node.args.args[0].arg if method.node.args.args else "self"
-        )
-        nested = local_function_defs(method.node)
-        for node in ast.walk(method.node):
-            if not isinstance(node, ast.Assign):
-                continue
-            stores_self_attr = any(
-                isinstance(t, ast.Attribute)
-                and isinstance(t.value, ast.Name)
-                and t.value.id == self_name
-                for t in node.targets
-            )
-            if not stores_self_attr:
-                continue
-            value = node.value
-            reason: Optional[str] = None
-            if isinstance(value, ast.Lambda):
-                reason = "a lambda"
-            elif isinstance(value, ast.Name) and value.id in nested:
-                reason = f"nested function {value.id!r}"
-            elif isinstance(value, ast.Call):
-                for edge in graph.callees(method.qualname):
-                    if (
-                        edge.line == value.lineno
-                        and edge.column == value.col_offset
-                        and edge.callee in returns_closure
-                    ):
-                        reason = f"closure returned by {edge.callee}"
-                        break
-            if reason is not None:
-                yield Finding(
-                    rule_id=self.id,
-                    path=method.ctx.path,
-                    line=node.lineno,
-                    column=node.col_offset,
-                    message=f"{method.qualname} stores {reason} on a "
-                    "payload instance; it cannot cross the process "
-                    "boundary",
-                )
-
-
-@register_rule
-class UnorderedReduceRule(Rule):
-    """No ``+=`` accumulation over unordered iterables in fold paths.
-
-    Float addition is order-dependent; sets iterate in hash order and
-    filesystem enumerators in OS order.  Inside the accumulator fold
-    methods (and everything they call) that combination makes the
-    report's bytes a function of ``PYTHONHASHSEED`` and the disk.
-    Integer counters survive reordering — suppress those sites with a
-    justification if sorting is genuinely pointless.
-    """
-
-    id = "flt-unordered-reduce"
-    description = "accumulation over an unordered iterable in a fold path"
-    scope = "project"
-
-    def check_project(
-        self, contexts: Sequence[FileContext]
-    ) -> Iterator[Finding]:
-        graph = project_graph(contexts)
-        roots = resolve_method_roots(
-            graph.index, self.config.taint_sink_methods
-        )
-        if not roots:
-            return
-        parents = graph.reachable_from(sorted(roots))
-        for qualname in sorted(parents):
-            fn = graph.functions[qualname]
-            yield from self._unordered_accumulations(fn)
-
-    def _unordered_accumulations(self, fn: FunctionInfo) -> Iterator[Finding]:
-        locals_ = set_typed_locals(fn.node)
-        for node in ast.walk(fn.node):
-            if not isinstance(node, (ast.For, ast.AsyncFor)):
-                continue
-            what = self._unordered_iterable(node.iter, locals_, fn.ctx)
-            if what is None:
-                continue
-            for stmt in ast.walk(node):
-                if self._is_accumulation(stmt):
-                    yield Finding(
-                        rule_id=self.id,
-                        path=fn.ctx.path,
-                        line=stmt.lineno,
-                        column=stmt.col_offset,
-                        message=f"{fn.qualname} accumulates over {what}; "
-                        "order varies across runs, so float sums drift",
-                    )
-
-    @staticmethod
-    def _unordered_iterable(
-        iter_expr: ast.expr, set_locals: Set[str], ctx: FileContext
-    ) -> Optional[str]:
-        if _is_set_producing(iter_expr):
-            return "a set expression"
-        if isinstance(iter_expr, ast.Name) and iter_expr.id in set_locals:
-            return f"set-typed local {iter_expr.id!r}"
-        if isinstance(iter_expr, ast.Call):
-            origin = ctx.imports.resolve(iter_expr.func)
-            if origin in _FS_ORDER_ORIGINS:
-                return f"OS-ordered listing {origin}(...)"
-            if (
-                isinstance(iter_expr.func, ast.Attribute)
-                and iter_expr.func.attr in _FS_ORDER_METHODS
-            ):
-                return f"OS-ordered listing .{iter_expr.func.attr}(...)"
-        return None
-
-    @staticmethod
-    def _is_accumulation(node: ast.AST) -> bool:
-        if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Add):
-            return True
-        if (
-            isinstance(node, ast.Assign)
-            and len(node.targets) == 1
-            and isinstance(node.targets[0], ast.Name)
-            and isinstance(node.value, ast.BinOp)
-            and isinstance(node.value.op, ast.Add)
-        ):
-            target = node.targets[0].id
-            return any(
-                isinstance(inner, ast.Name) and inner.id == target
-                for inner in ast.walk(node.value)
-            )
-        return False

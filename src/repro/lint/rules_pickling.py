@@ -9,7 +9,10 @@ but only on ``--jobs > 1`` runs, which is why a static trace is worth
 having.  This rule rebuilds the payload closure the way a reviewer
 would: start at the configured root classes, follow the dataclass
 field annotations through the import graph, and audit every class the
-payload can transitively hold.
+payload can transitively hold.  A closure that arrives through a
+helper (``self.on_event = make_handler()``) is caught too: the call
+graph proves, by fixpoint over return statements, which functions
+return a lambda or a nested function.
 """
 
 from __future__ import annotations
@@ -17,7 +20,16 @@ from __future__ import annotations
 import ast
 from typing import Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.lint.callgraph import ClassInfo, ProjectIndex, Symbol, project_graph
+from repro.lint.callgraph import (
+    ClassInfo,
+    FunctionInfo,
+    ProjectGraph,
+    ProjectIndex,
+    Symbol,
+    functions_returning,
+    local_function_defs,
+    project_graph,
+)
 from repro.lint.core import FileContext, Finding, Rule, register_rule
 
 #: Constructors whose results hold OS or thread state that ``pickle``
@@ -188,10 +200,23 @@ def _handle_findings(
             )
 
 
+def _returns_closure(fn: FunctionInfo, values: List[ast.expr]) -> bool:
+    """Whether ``fn`` returns a lambda or a function defined in its body
+    (:func:`~repro.lint.callgraph.functions_returning` adds the
+    functions returning a call of such a function)."""
+    nested = local_function_defs(fn.node)
+    return any(
+        isinstance(value, ast.Lambda)
+        or (isinstance(value, ast.Name) and value.id in nested)
+        for value in values
+    )
+
+
 def _audit_class(
-    node: ast.ClassDef, ctx: FileContext
+    cls: ClassInfo, graph: ProjectGraph, returns_closure: Set[str]
 ) -> Iterator[Finding]:
     """Check one payload class for unpicklable stored state."""
+    node, ctx = cls.node, cls.ctx
     for stmt in node.body:
         value = None
         if isinstance(stmt, ast.Assign):
@@ -204,12 +229,8 @@ def _audit_class(
     for stmt in node.body:
         if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
-        local_defs = {
-            inner.name
-            for inner in ast.walk(stmt)
-            if isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef))
-            and inner is not stmt
-        }
+        local_defs = local_function_defs(stmt)
+        qualname = f"{cls.qualname}.{stmt.name}"
         for inner in ast.walk(stmt):
             targets: List[ast.expr] = []
             value = None
@@ -227,16 +248,22 @@ def _audit_class(
             where = "on an instance attribute"
             yield from _lambda_findings(value, ctx, node.name, where)
             yield from _handle_findings(value, ctx, node.name, where)
+            stored: Optional[str] = None
             if isinstance(value, ast.Name) and value.id in local_defs:
+                stored = f"locally-defined function {value.id!r}"
+            elif isinstance(value, ast.Call):
+                callee = graph.callee_at(qualname, value)
+                if callee is not None and callee in returns_closure:
+                    stored = f"a closure returned by {callee}"
+            if stored is not None:
                 yield Finding(
                     rule_id="pck-lambda",
                     path=ctx.path,
                     line=value.lineno,
                     column=value.col_offset,
-                    message=f"class {node.name} stores locally-defined "
-                    f"function {value.id!r} on an instance attribute; local "
-                    f"functions cannot cross the worker-process pickle "
-                    f"boundary",
+                    message=f"class {node.name} stores {stored} on an "
+                    f"instance attribute; lambdas and local functions "
+                    f"cannot cross the worker-process pickle boundary",
                 )
 
 
@@ -255,12 +282,16 @@ class PicklingSafetyRule(Rule):
     def check_project(
         self, contexts: Sequence[FileContext]
     ) -> Iterator[Finding]:
-        index = project_graph(contexts).index
+        graph = project_graph(contexts)
+        index = graph.index
         queue: List[ClassInfo] = []
         for root in self.config.pickle_roots:
             found = index.class_by_spec(root)
             if found is not None:
                 queue.append(found)
+        if not queue:
+            return
+        returns_closure = functions_returning(graph, _returns_closure)
         visited: Set[Tuple[str, str]] = set()
         while queue:
             cls = queue.pop()
@@ -268,7 +299,7 @@ class PicklingSafetyRule(Rule):
             if key in visited:
                 continue
             visited.add(key)
-            yield from _audit_class(cls.node, cls.ctx)
+            yield from _audit_class(cls, graph, returns_closure)
             queue.extend(_referenced_classes(cls, index))
 
 

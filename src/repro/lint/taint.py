@@ -16,7 +16,10 @@ Kinds and their finding ids (the registered rule id is ``det-taint``):
 ``det-taint-random``  unseeded global-RNG calls
 ``det-taint-env``     ``os.environ`` / ``os.getenv`` reads
 ``det-taint-order``   iteration over sets — literal, set-typed local,
-                      or the return value of a set-returning function
+                      or the return value of a set-returning function —
+                      and over OS-ordered directory listings
+                      (``os.listdir``, ``os.scandir``, ``glob.glob``/
+                      ``iglob``, ``.iterdir()``, ``.glob()``, ``.rglob()``)
 ``det-taint-id``      ``id(...)`` and object-identity ``hash(...)``
 =================  ====================================================
 
@@ -41,11 +44,11 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 from repro.lint.callgraph import (
     FunctionInfo,
     ProjectGraph,
-    iter_return_values,
+    functions_returning,
     project_graph,
     resolve_method_roots,
 )
-from repro.lint.core import FileContext, Finding, Rule, register_rule
+from repro.lint.core import FileContext, Finding, ImportMap, Rule, register_rule
 from repro.lint.rules_determinism import (
     _ENV_ORIGINS,
     _SEEDED_RANDOM_OK,
@@ -74,49 +77,32 @@ class SourceSite:
     detail: str
 
 
-def _returns_set_functions(graph: ProjectGraph) -> Set[str]:
-    """Qualnames of functions that (can) return a set.
-
-    Fixpoint over three clauses: a return of a set-producing
-    expression, a return of a set-typed local, or a return of a call
-    whose callee is itself set-returning.  The last clause is what
-    carries taint through return values across modules.
-    """
-    returns_set: Set[str] = set()
-    # Pre-resolve each function's returned call expressions once.
-    returned_calls: Dict[str, List[str]] = {}
-    for qualname in sorted(graph.functions):
-        fn = graph.functions[qualname]
-        locals_ = set_typed_locals(fn.node)
-        calls: List[str] = []
-        for value in iter_return_values(fn.node):
-            if _is_set_producing(value):
-                returns_set.add(qualname)
-            elif isinstance(value, ast.Name) and value.id in locals_:
-                returns_set.add(qualname)
-            elif isinstance(value, ast.Call):
-                callee = _edge_at(graph, qualname, value)
-                if callee is not None:
-                    calls.append(callee)
-        if calls:
-            returned_calls[qualname] = calls
-    changed = True
-    while changed:
-        changed = False
-        for qualname in sorted(returned_calls):
-            if qualname in returns_set:
-                continue
-            if any(callee in returns_set for callee in returned_calls[qualname]):
-                returns_set.add(qualname)
-                changed = True
-    return returns_set
+#: Filesystem enumerators that yield entries in OS order.
+_FS_ORDER_ORIGINS = frozenset({
+    "os.listdir", "os.scandir", "glob.glob", "glob.iglob",
+})
+_FS_ORDER_METHODS = frozenset({"iterdir", "glob", "rglob"})
 
 
-def _edge_at(graph: ProjectGraph, caller: str, call: ast.Call) -> Optional[str]:
-    """The resolved callee of one specific call site, if the graph has it."""
-    for edge in graph.callees(caller):
-        if edge.line == call.lineno and edge.column == call.col_offset:
-            return edge.callee
+def _returns_set(fn: FunctionInfo, values: List[ast.expr]) -> bool:
+    """Whether ``fn`` returns a set-producing expression or a set-typed
+    local (:func:`~repro.lint.callgraph.functions_returning` adds the
+    functions returning a call of such a function)."""
+    locals_ = set_typed_locals(fn.node)
+    return any(
+        _is_set_producing(value)
+        or (isinstance(value, ast.Name) and value.id in locals_)
+        for value in values
+    )
+
+
+def _os_ordered_listing(call: ast.Call, imports: ImportMap) -> Optional[str]:
+    """Names the directory listing a call returns in OS order, if it does."""
+    origin = imports.resolve(call.func)
+    if origin in _FS_ORDER_ORIGINS:
+        return f"OS-ordered listing {origin}(...)"
+    if isinstance(call.func, ast.Attribute) and call.func.attr in _FS_ORDER_METHODS:
+        return f"OS-ordered listing .{call.func.attr}(...)"
     return None
 
 
@@ -130,7 +116,7 @@ def _function_sources(
     imports = fn.ctx.imports
 
     def call_returns_set(call: ast.Call) -> bool:
-        callee = _edge_at(graph, fn.qualname, call)
+        callee = graph.callee_at(fn.qualname, call)
         return callee is not None and callee in returns_set
 
     locals_ = set_typed_locals(fn.node, call_returns_set=call_returns_set)
@@ -183,16 +169,18 @@ def _function_sources(
         elif isinstance(node, ast.comprehension):
             iter_expr = node.iter
         if iter_expr is not None:
-            ordered = False
-            what = ""
+            what: Optional[str] = None
             if _is_set_producing(iter_expr):
-                ordered, what = True, "a set expression"
+                what = "a set expression"
             elif isinstance(iter_expr, ast.Name) and iter_expr.id in locals_:
-                ordered, what = True, f"set-typed local {iter_expr.id!r}"
-            elif isinstance(iter_expr, ast.Call) and call_returns_set(iter_expr):
-                callee = _edge_at(graph, fn.qualname, iter_expr)
-                ordered, what = True, f"set returned by {callee}"
-            if ordered:
+                what = f"set-typed local {iter_expr.id!r}"
+            elif isinstance(iter_expr, ast.Call):
+                callee = graph.callee_at(fn.qualname, iter_expr)
+                if callee is not None and callee in returns_set:
+                    what = f"set returned by {callee}"
+                else:
+                    what = _os_ordered_listing(iter_expr, imports)
+            if what is not None:
                 sites.append(SourceSite(
                     "order", iter_expr.lineno, iter_expr.col_offset,
                     f"unordered iteration over {what}",
@@ -231,7 +219,7 @@ class DeterminismTaintRule(Rule):
         if not sink_roots:
             return
         parents = graph.reachable_from(sorted(sink_roots))
-        returns_set = _returns_set_functions(graph)
+        returns_set = functions_returning(graph, _returns_set)
         best: Dict[Tuple[str, str, int, int], Tuple[List[str], SourceSite, FunctionInfo]] = {}
         for qualname in sorted(parents):
             fn = graph.functions[qualname]

@@ -4,9 +4,9 @@ import pytest
 
 from repro.core.config import SnipConfig
 from repro.core.federated import (
+    ContributionBuilder,
     FederatedAggregator,
-    build_device_contribution,
-    federate,
+    federate_contributions,
 )
 from repro.core.quality import QualityController
 from repro.core.runtime import SnipRuntime
@@ -113,31 +113,32 @@ class TestQualityController:
 class TestFederated:
     @pytest.fixture(scope="class")
     def fleet(self, ab_package):
+        """Three devices' uploads, two 20 s sessions each."""
         population = Population(seed=3)
-        per_device = {
-            device_id: [
-                population.user_trace("ab_evolution", device_id, session, 20.0)
-                for session in range(2)
-            ]
-            for device_id in range(3)
-        }
-        return per_device
+        contributions = []
+        for device_id in range(3):
+            builder = ContributionBuilder(
+                device_id, "ab_evolution", ab_package.selection
+            )
+            for session in range(2):
+                trace = population.user_trace("ab_evolution", device_id, session, 20.0)
+                builder.add_session_events(trace.events, session)
+            contributions.append(builder.finish())
+        return contributions
 
     def test_contribution_carries_statistics(self, ab_package, fleet):
-        contribution = build_device_contribution(
-            0, "ab_evolution", fleet[0], ab_package.selection
-        )
+        contribution = fleet[0]
         assert contribution.events_observed > 0
         assert contribution.signature_weight
         assert contribution.upload_bytes > 0
 
     def test_contribution_requires_sessions(self, ab_package):
         with pytest.raises(ProfilerError):
-            build_device_contribution(0, "ab_evolution", [], ab_package.selection)
+            ContributionBuilder(0, "ab_evolution", ab_package.selection).finish()
 
     def test_federate_builds_working_table(self, ab_package, fleet):
-        table, uplink = federate(
-            "ab_evolution", fleet, ab_package.selection, SnipConfig()
+        table, uplink = federate_contributions(
+            fleet, ab_package.selection, SnipConfig()
         )
         assert table.entry_count > 0
         assert uplink > 0
@@ -152,8 +153,8 @@ class TestFederated:
         assert runtime.stats.hit_rate > 0.3
 
     def test_uplink_is_kilobytes_not_gigabytes(self, ab_package, fleet):
-        _, uplink = federate(
-            "ab_evolution", fleet, ab_package.selection, SnipConfig()
+        _, uplink = federate_contributions(
+            fleet, ab_package.selection, SnipConfig()
         )
         # The federated upload is per-key statistics: kilobytes, versus
         # the multi-gigabyte naive record store the central profiler
@@ -169,12 +170,8 @@ class TestFederated:
     def test_fleet_confirmation_promotes_keys(self, ab_package, fleet):
         config = SnipConfig()
         aggregator = FederatedAggregator(ab_package.selection, config)
-        for device_id, traces in fleet.items():
-            aggregator.merge(
-                build_device_contribution(
-                    device_id, "ab_evolution", traces, ab_package.selection
-                )
-            )
+        for contribution in fleet:
+            aggregator.merge(contribution)
         assert aggregator.contribution_count == len(fleet)
         table = aggregator.build_table()
         assert table.entry_count > 0

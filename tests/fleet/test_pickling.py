@@ -12,7 +12,7 @@ from __future__ import annotations
 import pickle
 
 from repro.core.config import SnipConfig
-from repro.core.federated import build_device_contribution
+from repro.core.federated import ContributionBuilder
 from repro.fleet.spec import FleetSpec
 from repro.fleet.work import DeviceResult, ShardResult, ShardTask, run_shard
 from repro.users.population import Population
@@ -59,9 +59,9 @@ def test_contribution_roundtrips(small_spec, small_package):
     trace = Population(seed=small_spec.seed).user_trace(
         small_spec.game_name, 0, 0, small_spec.duration_s
     )
-    contribution = build_device_contribution(
-        0, small_spec.game_name, [trace], small_package.selection
-    )
+    builder = ContributionBuilder(0, small_spec.game_name, small_package.selection)
+    builder.add_session_events(trace.events, 0)
+    contribution = builder.finish()
     copy = _roundtrip(contribution)
     assert copy.device_id == contribution.device_id
     assert copy.upload_bytes == contribution.upload_bytes

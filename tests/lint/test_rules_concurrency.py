@@ -1,4 +1,6 @@
-"""Concurrency rules: worker globals, closure payloads, unordered folds."""
+"""Worker-boundary hazards: worker globals (``conc-global-mutation``),
+closures on payloads (``pck-payload``) and unordered folds
+(``det-taint``)."""
 
 from __future__ import annotations
 
@@ -86,7 +88,7 @@ def test_mutation_outside_the_worker_graph_is_not_flagged(lint_tree):
     assert result.findings == []
 
 
-# -- conc-unpicklable-closure ----------------------------------------------
+# -- pck-payload: closures built by helpers --------------------------------
 
 
 def test_helper_returned_closure_stored_on_payload_is_flagged(lint_tree):
@@ -106,9 +108,9 @@ def test_helper_returned_closure_stored_on_payload_is_flagged(lint_tree):
                     return handle
             """,
         },
-        rules=["conc-unpicklable-closure"],
+        rules=["pck-payload"],
     )
-    assert rule_ids(result) == ["conc-unpicklable-closure"]
+    assert rule_ids(result) == ["pck-lambda"]
     assert "closure returned by fleet.handlers.make_handler" in (
         result.findings[0].message
     )
@@ -132,9 +134,9 @@ def test_closure_through_two_helpers_is_still_flagged(lint_tree):
                     return lambda event: event
             """,
         },
-        rules=["conc-unpicklable-closure"],
+        rules=["pck-payload"],
     )
-    assert rule_ids(result) == ["conc-unpicklable-closure"]
+    assert rule_ids(result) == ["pck-lambda"]
 
 
 def test_helper_returning_a_value_is_not_flagged(lint_tree):
@@ -152,7 +154,7 @@ def test_helper_returning_a_value_is_not_flagged(lint_tree):
                     return 32
             """,
         },
-        rules=["conc-unpicklable-closure"],
+        rules=["pck-payload"],
     )
     assert result.findings == []
 
@@ -173,12 +175,12 @@ def test_closure_on_a_non_payload_class_is_not_flagged(lint_tree):
                         self.fn = make()
             """,
         },
-        rules=["conc-unpicklable-closure"],
+        rules=["pck-payload"],
     )
     assert result.findings == []
 
 
-# -- flt-unordered-reduce --------------------------------------------------
+# -- det-taint: unordered folds --------------------------------------------
 
 
 def test_float_accumulation_over_set_in_fold_path_is_flagged(lint_tree):
@@ -197,9 +199,9 @@ def test_float_accumulation_over_set_in_fold_path_is_flagged(lint_tree):
                         self.total = total
             """,
         },
-        rules=["flt-unordered-reduce"],
+        rules=["det-taint"],
     )
-    assert rule_ids(result) == ["flt-unordered-reduce"]
+    assert rule_ids(result) == ["det-taint-order"]
     assert "a set expression" in result.findings[0].message
 
 
@@ -227,9 +229,9 @@ def test_accumulation_over_os_listing_in_fold_helper_is_flagged(lint_tree):
                     return total
             """,
         },
-        rules=["flt-unordered-reduce"],
+        rules=["det-taint"],
     )
-    assert rule_ids(result) == ["flt-unordered-reduce"]
+    assert rule_ids(result) == ["det-taint-order"]
     assert "os.listdir" in result.findings[0].message
 
 
@@ -249,7 +251,7 @@ def test_sorted_iteration_in_fold_path_is_not_flagged(lint_tree):
                         self.total = total
             """,
         },
-        rules=["flt-unordered-reduce"],
+        rules=["det-taint"],
     )
     assert result.findings == []
 
@@ -270,6 +272,60 @@ def test_accumulation_outside_fold_paths_is_not_flagged(lint_tree):
                     return total
             """,
         },
-        rules=["flt-unordered-reduce"],
+        rules=["det-taint"],
     )
     assert result.findings == []
+
+
+# -- one owner per hazard ----------------------------------------------------
+
+
+def test_each_worker_boundary_hazard_is_reported_once(lint_tree):
+    result = lint_tree(
+        {
+            "fleet/work.py": """
+                from fleet.handlers import make_handler
+
+                class ShardTask:
+                    def __init__(self):
+                        self.key = lambda event: event
+                        self.on_event = make_handler()
+            """,
+            "fleet/handlers.py": """
+                def make_handler():
+                    def handle(event):
+                        return event
+                    return handle
+            """,
+            "fleet/reducers.py": """
+                import os
+
+                class Accumulator:
+                    def update(self, shard):
+                        total = 0.0
+                        for device in {d for d in shard.devices}:
+                            total += device.joules
+                        self.total = total
+
+                    def finalize(self, root):
+                        total = 0.0
+                        for name in os.listdir(root):
+                            total += len(name)
+                        return total
+            """,
+        },
+    )
+    sites = sorted(
+        (finding.path.rsplit("/", 1)[-1], finding.line, finding.rule_id)
+        for finding in result.findings
+    )
+    # Each stored closure is one pck-lambda; the set loop keeps its
+    # file-scope rule and its taint counterpart; the listing is one
+    # det-taint-order.
+    assert sites == [
+        ("reducers.py", 7, "det-set-iter"),
+        ("reducers.py", 7, "det-taint-order"),
+        ("reducers.py", 13, "det-taint-order"),
+        ("work.py", 6, "pck-lambda"),
+        ("work.py", 7, "pck-lambda"),
+    ]
