@@ -16,30 +16,9 @@ from repro.soc.soc import Soc
 BINDER_TRANSACTION_CYCLES = 14_000
 
 
-class Binder:
-    """Shared-memory IPC channel between SensorManager and the app."""
-
-    def __init__(self, soc: Soc) -> None:
-        self._soc = soc
-        self._transactions = 0
-        self._bytes_transferred = 0
-
-    @property
-    def transaction_count(self) -> int:
-        """How many Binder transactions have completed."""
-        return self._transactions
-
-    @property
-    def bytes_transferred(self) -> int:
-        """Total event-object bytes copied across the boundary."""
-        return self._bytes_transferred
-
-    def transfer(self, event: Event, tag: str = "event") -> Event:
-        """Copy ``event`` into the app process, charging IPC costs."""
-        self._soc.cpu.execute(BINDER_TRANSACTION_CYCLES, big=False, tag=tag)
-        # The record crosses memory twice: write by the framework, read
-        # by the app-side proxy.
-        self._soc.memory.transfer(2 * event.nbytes, tag=tag)
-        self._transactions += 1
-        self._bytes_transferred += event.nbytes
-        return event
+def transfer(soc: Soc, event: Event, tag: str = "event") -> None:
+    """Copy ``event`` into the app process, charging IPC costs."""
+    soc.cpu.execute(BINDER_TRANSACTION_CYCLES, big=False, tag=tag)
+    # The record crosses memory twice: write by the framework, read by
+    # the app-side proxy.
+    soc.memory.transfer(2 * event.nbytes, tag=tag)

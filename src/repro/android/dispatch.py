@@ -8,13 +8,10 @@ not avoid.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Tuple
 
-from repro.android.binder import Binder
+from repro.android import binder, sensor_hub, sensor_manager
 from repro.android.events import Event, EventType
-from repro.android.sensor_hub import SensorHub
-from repro.android.sensor_manager import SensorManager
-from repro.android.tracing import EventTracer
 from repro.soc.energy import ColumnarMeter
 from repro.soc.power_profiles import PowerProfiles
 from repro.soc.soc import Soc, snapdragon_821
@@ -73,64 +70,54 @@ def charge_work(soc: Soc, work: Work, tag: str = "event") -> None:
 def charge_upkeep(soc: Soc, game: "Game", event: Event, tag: str = "event") -> int:
     """Charge the game's unavoidable engine upkeep for one event.
 
-    Returns the cycles charged so callers can fold them into coverage
-    denominators (upkeep executes under every scheme, snipped or not).
+    Ticks the engine, then charges the upkeep work of the event's type
+    (:func:`_charge_upkeep_work`). Returns the cycles charged so callers
+    can fold them into coverage denominators (upkeep executes under
+    every scheme, snipped or not).
     """
     game.advance_engine(event)
-    cycles = game.upkeep_cycles_for(event.event_type)
+    return _charge_upkeep_work(soc, game, event.event_type, tag)
+
+
+def _charge_upkeep_work(
+    soc: Soc, game: "Game", event_type: EventType, tag: str
+) -> int:
+    """Charge one event type's upkeep cycles, then its upkeep IP
+    invocations; returns the cycles. The engine tick is the caller's."""
+    cycles = game.upkeep_cycles_for(event_type)
     if cycles:
         soc.cpu.execute(cycles, big=True, tag=tag)
-    for ip_name, units in game.upkeep_ip_units_for(event.event_type).items():
+    for ip_name, units in game.upkeep_ip_units_for(event_type).items():
         if units:
             soc.ip(ip_name).invoke(units, bytes_in=128 * 1024, tag=tag)
     return cycles
 
 
-def charge_delivery(
-    soc: Soc,
-    hub: SensorHub,
-    manager: SensorManager,
-    binder: Binder,
-    event: Event,
-    tag: str = "event",
-) -> None:
+def charge_delivery(soc: Soc, event: Event, tag: str = "event") -> None:
     """Charge the unavoidable pre-handler pipeline for one event.
 
     Sensing, hub batching, gesture synthesis and the Binder hop happen
     before any lookup can decide to short-circuit, so every scheme pays
     this cost for every event.
     """
-    samples = hub.capture(event, tag=tag)
-    manager.synthesize(event, samples, tag=tag)
-    binder.transfer(event, tag=tag)
+    samples = sensor_hub.capture(soc, event, tag=tag)
+    sensor_manager.synthesize(soc, event, samples, tag=tag)
+    binder.transfer(soc, event, tag=tag)
 
 
 class EventLoop:
     """Baseline device execution: deliver and fully process every event."""
 
-    def __init__(self, soc: Soc, game: "Game", tracer: Optional[EventTracer] = None) -> None:
+    def __init__(self, soc: Soc, game: "Game") -> None:
         self.soc = soc
         self.game = game
-        self.tracer = tracer
-        self.hub = SensorHub(soc)
-        self.manager = SensorManager(soc)
-        self.binder = Binder(soc)
-        self._events_delivered = 0
-
-    @property
-    def events_delivered(self) -> int:
-        """How many events have gone through the loop."""
-        return self._events_delivered
 
     def deliver(self, event: Event) -> "ProcessingTrace":
         """Run one event end-to-end, charging every stage to the SoC."""
-        if self.tracer is not None:
-            self.tracer.record(event)
-        charge_delivery(self.soc, self.hub, self.manager, self.binder, event)
+        charge_delivery(self.soc, event)
         charge_upkeep(self.soc, self.game, event)
         trace = self.game.process(event)
         charge_trace(self.soc, trace)
-        self._events_delivered += 1
         return trace
 
 
@@ -171,19 +158,8 @@ def delivery_upkeep_pattern(
     if pattern is None:
         meter = ColumnarMeter()
         scratch = snapdragon_821(profiles=profiles, meter=meter)
-        charge_delivery(
-            scratch,
-            SensorHub(scratch),
-            SensorManager(scratch),
-            Binder(scratch),
-            event,
-        )
-        cycles = game.upkeep_cycles_for(event.event_type)
-        if cycles:
-            scratch.cpu.execute(cycles, big=True, tag="event")
-        for ip_name, units in game.upkeep_ip_units_for(event.event_type).items():
-            if units:
-                scratch.ip(ip_name).invoke(units, bytes_in=128 * 1024, tag="event")
+        charge_delivery(scratch, event)
+        _charge_upkeep_work(scratch, game, event.event_type, "event")
         pattern = _COST_PATTERNS[key] = meter.records_since(0)
     return pattern
 

@@ -9,7 +9,6 @@ charges the per-sample sensor energy plus its own batch-processing work.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from repro.android.events import Event, EventType
@@ -38,51 +37,22 @@ _SENSOR_BURSTS: Dict[EventType, Tuple[Tuple[str, int], ...]] = {
 }
 
 
-@dataclass(frozen=True)
-class RawSample:
-    """One raw sensor reading inside a hub batch."""
+def capture(soc: Soc, event: Event, tag: str = "event") -> int:
+    """Sample the sensors backing ``event`` and batch them on the hub.
 
-    sensor: str
-    index: int
-
-
-class SensorHub:
-    """Low-power sensor front end charging capture costs to the SoC."""
-
-    def __init__(self, soc: Soc) -> None:
-        self._soc = soc
-        self._events_captured = 0
-
-    @property
-    def events_captured(self) -> int:
-        """How many high-level events' raw bursts have been captured."""
-        return self._events_captured
-
-    def burst_for(self, event_type: EventType) -> Tuple[Tuple[str, int], ...]:
-        """The (sensor, sample-count) burst backing one event."""
-        return _SENSOR_BURSTS[event_type]
-
-    def capture(self, event: Event, tag: str = "event") -> Tuple[RawSample, ...]:
-        """Sample the sensors backing ``event`` and batch them.
-
-        Sensor sampling is *not* avoidable by SNIP — the paper snips
-        processing, not sensing — so callers charge this stage even for
-        short-circuited events.
-        """
-        burst = self.burst_for(event.event_type)
-        if not burst:
-            # Display-originated events (frame ticks) never touch the hub.
-            self._events_captured += 1
-            return ()
-        samples = []
-        for sensor_name, count in burst:
-            sensor = self._soc.sensor(sensor_name)
-            for index in range(count):
-                sensor.sample(tag=tag)
-                samples.append(RawSample(sensor=sensor_name, index=index))
+    Returns the number of raw samples taken, which sets the downstream
+    synthesis cost. Sensor sampling is *not* avoidable by SNIP — the
+    paper snips processing, not sensing — so callers charge this stage
+    even for short-circuited events.
+    """
+    samples = 0
+    for sensor_name, count in _SENSOR_BURSTS[event.event_type]:
+        sensor = soc.sensor(sensor_name)
+        for _ in range(count):
+            sensor.sample(tag=tag)
+        samples += count
+    if samples:
         # One hub batch per event: wake, filter, timestamp, enqueue.
-        self._soc.ip(IP_SENSOR_HUB).invoke(
-            work_units=1.0, bytes_in=len(samples) * 8, tag=tag
-        )
-        self._events_captured += 1
-        return tuple(samples)
+        # Display-originated events (frame ticks) never touch the hub.
+        soc.ip(IP_SENSOR_HUB).invoke(work_units=1.0, bytes_in=samples * 8, tag=tag)
+    return samples

@@ -1,4 +1,4 @@
-"""SensorManager: raw samples -> high-level events.
+"""Sensor manager: raw samples -> high-level events.
 
 The OS framework stage of the paper's Fig. 1 (step 3, first half):
 interrupt handling, gesture classification (a touch series becomes a
@@ -9,10 +9,9 @@ SNIP's lookup happens after the event object exists.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict
 
 from repro.android.events import Event, EventType
-from repro.android.sensor_hub import RawSample
 from repro.soc.soc import Soc
 
 #: Little-core cycles to classify and pack one event, by type. Gesture
@@ -28,35 +27,14 @@ _SYNTHESIS_CYCLES: Dict[EventType, int] = {
 }
 
 
-class SensorManager:
-    """Turns hub batches into packed event objects on little cores."""
+def synthesize(soc: Soc, event: Event, samples: int, tag: str = "event") -> None:
+    """Charge the classification/packing cost of ``event``.
 
-    def __init__(self, soc: Soc) -> None:
-        self._soc = soc
-        self._events_synthesized = 0
-
-    @property
-    def events_synthesized(self) -> int:
-        """How many event objects have been packed."""
-        return self._events_synthesized
-
-    def synthesis_cycles(self, event_type: EventType) -> int:
-        """Little-core cycles to synthesize one event of this type."""
-        return _SYNTHESIS_CYCLES[event_type]
-
-    def synthesize(
-        self, event: Event, samples: Tuple[RawSample, ...], tag: str = "event"
-    ) -> Event:
-        """Charge the classification/packing cost for ``event``.
-
-        The event's values come from the user model (the workload is the
-        source of truth); this stage accounts for the OS work of
-        producing them from the raw ``samples``.
-        """
-        cycles = self.synthesis_cycles(event.event_type)
-        # Classification cost grows mildly with the raw burst length.
-        cycles += 400 * len(samples)
-        self._soc.cpu.execute(cycles, big=False, tag=tag)
-        self._soc.memory.transfer(event.nbytes + len(samples) * 8, tag=tag)
-        self._events_synthesized += 1
-        return event
+    The event's values come from the user model (the workload is the
+    source of truth); this stage accounts for the OS work of producing
+    them from the ``samples`` raw readings the hub captured.
+    """
+    # Classification cost grows mildly with the raw burst length.
+    cycles = _SYNTHESIS_CYCLES[event.event_type] + 400 * samples
+    soc.cpu.execute(cycles, big=False, tag=tag)
+    soc.memory.transfer(event.nbytes + samples * 8, tag=tag)

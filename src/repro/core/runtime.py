@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.android.binder import Binder
 from repro.android.dispatch import (
     Pattern,
     charge_delivery,
@@ -31,8 +30,6 @@ from repro.android.dispatch import (
     delivery_upkeep_pattern,
 )
 from repro.android.events import Event, EventType
-from repro.android.sensor_hub import SensorHub
-from repro.android.sensor_manager import SensorManager
 from repro.core.config import SnipConfig
 from repro.core.fields import FieldInfo
 from repro.core.table import SnipTable, TableEntry
@@ -157,9 +154,6 @@ class SnipRuntime:
         self.game = game
         self.table = table
         self.config = config or SnipConfig()
-        self.hub = SensorHub(soc)
-        self.manager = SensorManager(soc)
-        self.binder = Binder(soc)
         self.stats = RuntimeStats()
         self._online: dict = {}
         #: Per-event-type field readers, compiled at install time.
@@ -399,7 +393,7 @@ class SnipRuntime:
         SoC as it happens, and a miss runs the handler and prices its
         trace.
         """
-        charge_delivery(self.soc, self.hub, self.manager, self.binder, event)
+        charge_delivery(self.soc, event)
         self.stats.executed_cycles += charge_upkeep(self.soc, self.game, event)
         self.stats.events += 1
         if self.enabled and self.table.knows(event.event_type):

@@ -200,24 +200,14 @@ class ExternSource:
     def __init__(self, seed: int, payload_bytes: int = 1_048_576) -> None:
         self._seed = seed
         self.payload_bytes = payload_bytes
-        self._fetch_count = 0
-
-    @property
-    def fetch_count(self) -> int:
-        """How many fetches have been served."""
-        return self._fetch_count
-
-    def fetch(self, key: str) -> Tuple[int, int]:
-        """Return ``(content_id, nbytes)`` for an asset key."""
-        self._fetch_count += 1
-        return self.peek(key)
 
     def peek(self, key: str) -> Tuple[int, int]:
-        """Like :meth:`fetch` but without counting as a network fetch.
+        """Return ``(content_id, nbytes)`` for an asset key.
 
-        The SNIP runtime uses this for necessary-input comparisons: a
-        previously fetched asset is already cached in RAM, so comparing
-        against it costs memory traffic, not a network round trip.
+        A handler's fetch and the SNIP runtime's necessary-input
+        comparison read the same asset: the runtime compares against
+        the copy already cached in RAM, which costs memory traffic, not
+        a network round trip.
         """
         digest = hashlib.blake2b(
             f"{self._seed}:{key}".encode("utf-8"), digest_size=8
@@ -268,7 +258,7 @@ class HandlerContext:
 
     def extern(self, key: str) -> int:
         """Fetch an external asset; returns its content id."""
-        content_id, nbytes = self._extern.fetch(key)
+        content_id, nbytes = self._extern.peek(key)
         self.trace.reads.append(
             FieldRead(name=f"extern:{key}", category=InputCategory.EXTERN,
                       value=content_id, nbytes=nbytes)
@@ -407,7 +397,6 @@ class Game:
         self.state = StateStore()
         self.screen: Dict[str, Any] = {}
         self.extern_source = ExternSource(seed=seed)
-        self.events_processed = 0
         self.build_state()
 
     # -- subclass API -----------------------------------------------------
@@ -441,7 +430,6 @@ class Game:
             )
         ctx = HandlerContext(event, self.state, self.screen, self.extern_source)
         self.on_event(ctx)
-        self.events_processed += 1
         return ctx.trace
 
     def apply_outputs(self, writes: Sequence[FieldWrite]) -> None:

@@ -72,9 +72,7 @@ def create_game(name: str, seed: int = 0) -> Game:
 #: Attributes :meth:`Game.__init__` installs; a game whose constructor
 #: adds anything else cannot be template-cloned and falls back to
 #: :func:`create_game` (``None`` marks that case in the cache).
-_BASE_GAME_ATTRS = frozenset(
-    ("seed", "state", "screen", "extern_source", "events_processed")
-)
+_BASE_GAME_ATTRS = frozenset(("seed", "state", "screen", "extern_source"))
 
 #: ``(name, seed) -> (cls, initial state cells)`` — or ``None`` when the
 #: game is not safely cloneable. Populated lazily; content is identical
@@ -118,5 +116,4 @@ def fresh_game(name: str, seed: int = 0) -> Game:
     game.state = StateStore.from_cells(cells)
     game.screen = {}
     game.extern_source = ExternSource(seed=seed)
-    game.events_processed = 0
     return game

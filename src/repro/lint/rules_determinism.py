@@ -14,7 +14,7 @@ from __future__ import annotations
 import ast
 from typing import Callable, Iterator, List, Optional, Set, Union
 
-from repro.lint.core import FileContext, Finding, Rule, register_rule
+from repro.lint.core import FileContext, Finding, ImportMap, Rule, register_rule
 
 #: Wall-clock reads; referencing one (not just calling it) is flagged,
 #: because passing ``time.monotonic`` as a default argument smuggles the
@@ -70,6 +70,31 @@ def _is_set_producing(node: ast.expr) -> bool:
 _SET_ANNOTATION_NAMES = frozenset({
     "set", "frozenset", "Set", "FrozenSet", "AbstractSet", "MutableSet",
 })
+
+
+def sorted_only_clauses(tree: ast.AST, imports: ImportMap) -> Set[ast.comprehension]:
+    """Comprehension clauses whose iteration order no result can carry.
+
+    A generator or list comprehension that is the only argument of the
+    builtin ``sorted`` (``reverse=`` aside) becomes a list in
+    ``sorted``'s order, whatever order its own clauses iterate in. Not
+    so with ``key=``: ``sorted`` is stable, so elements with equal keys
+    keep the iteration order, and such a call stays reported.
+    Comprehensions nested inside the element expression are not exempt.
+    """
+    clauses: Set[ast.comprehension] = set()
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "sorted"
+            and imports.resolve(node.func) is None
+            and len(node.args) == 1
+            and isinstance(node.args[0], (ast.GeneratorExp, ast.ListComp))
+            and all(keyword.arg == "reverse" for keyword in node.keywords)
+        ):
+            clauses.update(node.args[0].generators)
+    return clauses
 
 
 def _is_set_annotation(node: ast.expr) -> bool:
@@ -297,16 +322,23 @@ class SetIterationRule(Rule):
     elements in a different order in every worker process.  Counting
     survives that; float accumulation, first-wins merges, and rendered
     output do not.  Wrapping in ``sorted`` is cheap and makes the order
-    canonical (see ``fleet/reducers.py`` for the idiom).
+    canonical (see ``fleet/reducers.py`` for the idiom); a generator or
+    list comprehension that is ``sorted``'s only argument, without
+    ``key=``, is therefore not reported (:func:`sorted_only_clauses`).
     """
 
     id = "det-set-iter"
     description = "iteration over an unsorted set expression or set-typed local"
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
+        exempt = sorted_only_clauses(ctx.tree, ctx.imports)
         for node in ast.walk(ctx.tree):
             iter_expr = _iterated_expr(node)
-            if iter_expr is not None and _is_set_producing(iter_expr):
+            if (
+                iter_expr is not None
+                and node not in exempt
+                and _is_set_producing(iter_expr)
+            ):
                 yield Finding(
                     rule_id=self.id,
                     path=ctx.path,
@@ -327,6 +359,7 @@ class SetIterationRule(Rule):
                 if (
                     isinstance(iter_expr, ast.Name)
                     and iter_expr.id in locals_
+                    and node not in exempt
                 ):
                     yield Finding(
                         rule_id=self.id,

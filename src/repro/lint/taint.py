@@ -19,7 +19,9 @@ Kinds and their finding ids (the registered rule id is ``det-taint``):
                       or the return value of a set-returning function —
                       and over OS-ordered directory listings
                       (``os.listdir``, ``os.scandir``, ``glob.glob``/
-                      ``iglob``, ``.iterdir()``, ``.glob()``, ``.rglob()``)
+                      ``iglob``, ``.iterdir()``, ``.glob()``, ``.rglob()``),
+                      except in a comprehension that is ``sorted``'s
+                      only argument without ``key=``
 ``det-taint-id``      ``id(...)`` and object-identity ``hash(...)``
 =================  ====================================================
 
@@ -55,6 +57,7 @@ from repro.lint.rules_determinism import (
     _WALLCLOCK_ORIGINS,
     _is_set_producing,
     set_typed_locals,
+    sorted_only_clauses,
 )
 
 #: kind -> finding rule id.
@@ -120,6 +123,7 @@ def _function_sources(
         return callee is not None and callee in returns_set
 
     locals_ = set_typed_locals(fn.node, call_returns_set=call_returns_set)
+    exempt = sorted_only_clauses(fn.node, imports)
     in_hash_dunder = fn.name == "__hash__"
     for node in ast.walk(fn.node):
         if isinstance(node, (ast.Attribute, ast.Name)):
@@ -166,7 +170,7 @@ def _function_sources(
         iter_expr: Optional[ast.expr] = None
         if isinstance(node, (ast.For, ast.AsyncFor)):
             iter_expr = node.iter
-        elif isinstance(node, ast.comprehension):
+        elif isinstance(node, ast.comprehension) and node not in exempt:
             iter_expr = node.iter
         if iter_expr is not None:
             what: Optional[str] = None

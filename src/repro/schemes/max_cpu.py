@@ -12,11 +12,8 @@ from __future__ import annotations
 
 from typing import Set, Tuple
 
-from repro.android.binder import Binder
-from repro.android.dispatch import charge_upkeep
+from repro.android.dispatch import charge_delivery, charge_upkeep
 from repro.android.events import Event
-from repro.android.sensor_hub import SensorHub
-from repro.android.sensor_manager import SensorManager
 from repro.games.base import Game
 from repro.schemes.base import Scheme
 from repro.soc.energy import TAG_LOOKUP
@@ -32,9 +29,6 @@ class _MaxCpuRunner:
     def __init__(self, soc: Soc, game: Game) -> None:
         self.soc = soc
         self.game = game
-        self.hub = SensorHub(soc)
-        self.manager = SensorManager(soc)
-        self.binder = Binder(soc)
         self._seen: Set[Tuple] = set()
         self._avoided_cycles = 0.0
         self._executed_cycles = 0.0
@@ -42,9 +36,7 @@ class _MaxCpuRunner:
         self._events_with_reuse = 0
 
     def deliver(self, event: Event) -> None:
-        from repro.android.dispatch import charge_delivery
-
-        charge_delivery(self.soc, self.hub, self.manager, self.binder, event)
+        charge_delivery(self.soc, event)
         self._executed_cycles += charge_upkeep(self.soc, self.game, event)
         trace = self.game.process(event)
         self._events += 1

@@ -11,11 +11,8 @@ from __future__ import annotations
 
 from typing import Set, Tuple
 
-from repro.android.binder import Binder
 from repro.android.dispatch import charge_delivery, charge_upkeep
 from repro.android.events import Event
-from repro.android.sensor_hub import SensorHub
-from repro.android.sensor_manager import SensorManager
 from repro.games.base import Game
 from repro.schemes.base import Scheme
 from repro.soc.energy import TAG_LOOKUP
@@ -41,9 +38,6 @@ class _MaxIpRunner:
     def __init__(self, soc: Soc, game: Game) -> None:
         self.soc = soc
         self.game = game
-        self.hub = SensorHub(soc)
-        self.manager = SensorManager(soc)
-        self.binder = Binder(soc)
         self._seen: Set[Tuple] = set()
         self._avoided_energy = 0.0
         self._executed_energy = 0.0
@@ -51,7 +45,7 @@ class _MaxIpRunner:
         self._events_with_skip = 0
 
     def deliver(self, event: Event) -> None:
-        charge_delivery(self.soc, self.hub, self.manager, self.binder, event)
+        charge_delivery(self.soc, event)
         upkeep_cycles = charge_upkeep(self.soc, self.game, event)
         self._executed_energy += self.soc.cpu.energy_for(upkeep_cycles, big=True)
         trace = self.game.process(event)

@@ -7,18 +7,10 @@ scheme and SNIP is exactly Fig. 11c's overhead bar.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
 from repro.android.events import Event
-from repro.core.config import SnipConfig
 from repro.core.runtime import SnipRuntime
 from repro.core.table import TableEntry
-from repro.schemes.snip_scheme import (
-    DEFAULT_PROFILE_DURATION_S,
-    DEFAULT_PROFILE_SEEDS,
-    SnipScheme,
-    _SnipRunner,
-)
+from repro.schemes.snip_scheme import SnipScheme, _SnipRunner
 
 
 class _FreeLookupRuntime(SnipRuntime):
@@ -36,14 +28,6 @@ class NoOverheadsScheme(SnipScheme):
     """SNIP minus every lookup cost (scope-for-future-work line)."""
 
     name = "no_overheads"
-
-    def __init__(
-        self,
-        config: Optional[SnipConfig] = None,
-        profile_seeds: Sequence[int] = DEFAULT_PROFILE_SEEDS,
-        profile_duration_s: float = DEFAULT_PROFILE_DURATION_S,
-    ) -> None:
-        super().__init__(config, profile_seeds, profile_duration_s)
 
     def make_runner(self, soc, game) -> _SnipRunner:
         package = self.prepare(game.name)

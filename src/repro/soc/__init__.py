@@ -5,7 +5,8 @@ blocks, LPDDR4 memory, sensors, and a battery, all charging their
 activity to a shared :class:`~repro.soc.energy.EnergyMeter`. The model
 is an *energy accounting* simulator — SNIP's evaluation is about which
 component activity is avoided, so the ledger is the ground truth every
-experiment reads.
+experiment reads, and its only record: components keep no counters of
+their own, and their charging methods return nothing.
 """
 
 from repro.soc.battery import Battery

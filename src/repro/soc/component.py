@@ -104,7 +104,6 @@ class HardwareComponent:
         self.sleep_power_watts = sleep_power_watts
         self.wake_energy_joules = wake_energy_joules
         self._state = PowerState.IDLE
-        self._wake_count = 0
 
     # -- power-state machine ------------------------------------------
 
@@ -112,11 +111,6 @@ class HardwareComponent:
     def state(self) -> PowerState:
         """Current power state."""
         return self._state
-
-    @property
-    def wake_count(self) -> int:
-        """How many SLEEP->IDLE wake-ups have occurred (overhead metric)."""
-        return self._wake_count
 
     def transition(self, target: PowerState, tag: str = "event") -> None:
         """Move to ``target``, charging wake energy when leaving SLEEP."""
@@ -128,7 +122,6 @@ class HardwareComponent:
                 f"{self.name!r}: illegal transition {self._state.name} -> {target.name}"
             )
         if self._state == PowerState.SLEEP and target == PowerState.IDLE:
-            self._wake_count += 1
             self.charge(self.wake_energy_joules, tag=tag)
         self._state = target
         HardwareComponent.power_epoch += 1
@@ -160,17 +153,13 @@ class HardwareComponent:
         """Charge active energy to the shared meter under this component."""
         self._meter.charge(self.name, self.group, joules, tag=tag)
 
-    def accrue_background(self, seconds: float, tag: str = "idle") -> float:
-        """Integrate background (leakage) power over ``seconds``.
-
-        Returns the joules charged so callers can assert on it.
-        """
+    def accrue_background(self, seconds: float, tag: str = "idle") -> None:
+        """Integrate background (leakage) power over ``seconds``."""
         if seconds < 0:
             raise ValueError(f"{self.name!r}: negative background interval {seconds}")
         joules = self.background_watts * seconds
         if joules > 0:
             self.charge(joules, tag=tag)
-        return joules
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self.name!r}, state={self._state.name})"

@@ -27,31 +27,14 @@ class CpuCluster(HardwareComponent):
             wake_energy_joules=profile.wake_energy_joules,
         )
         self._profile = profile
-        self._big_cycles = 0
-        self._little_cycles = 0
 
     @property
     def profile(self) -> CpuProfile:
         """The constant set this cluster was built with."""
         return self._profile
 
-    @property
-    def big_cycles_executed(self) -> int:
-        """Total cycles retired on big cores."""
-        return self._big_cycles
-
-    @property
-    def little_cycles_executed(self) -> int:
-        """Total cycles retired on little cores."""
-        return self._little_cycles
-
-    @property
-    def total_cycles_executed(self) -> int:
-        """Total cycles retired on any core."""
-        return self._big_cycles + self._little_cycles
-
-    def execute(self, cycles: int, big: bool = True, tag: str = "event") -> float:
-        """Run ``cycles`` of work; returns the wall time consumed.
+    def execute(self, cycles: int, big: bool = True, tag: str = "event") -> None:
+        """Run ``cycles`` of work, charging its energy to the meter.
 
         Parameters
         ----------
@@ -62,21 +45,10 @@ class CpuCluster(HardwareComponent):
         tag:
             Energy-ledger tag (``"lookup"`` for SNIP table overhead).
         """
-        if cycles < 0:
-            raise ValueError(f"negative cycle count: {cycles}")
-        if cycles == 0:
-            return 0.0
-        self.wake(tag=tag)
-        if big:
-            energy = cycles * self._profile.big_energy_per_cycle
-            seconds = cycles / self._profile.big_freq_hz
-            self._big_cycles += cycles
-        else:
-            energy = cycles * self._profile.little_energy_per_cycle
-            seconds = cycles / self._profile.little_freq_hz
-            self._little_cycles += cycles
-        self.charge(energy, tag=tag)
-        return seconds
+        energy = self.energy_for(cycles, big=big)
+        if cycles:
+            self.wake(tag=tag)
+            self.charge(energy, tag=tag)
 
     def energy_for(self, cycles: int, big: bool = True) -> float:
         """Energy that :meth:`execute` would charge, without charging it.

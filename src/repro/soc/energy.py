@@ -273,10 +273,8 @@ class ColumnarMeter(EnergyMeter):
     accrual, CPU, DRAM and IP charges to IDLE components (see
     :meth:`~repro.soc.soc.Soc.charge_cycles`), and the static delivery
     and upkeep patterns of :func:`repro.android.dispatch.delivery_upkeep_pattern`
-    via :meth:`extend`. Those charges skip the components' own
-    bookkeeping, so on a columnar SoC the component counters
-    (``big_cycles_executed``, ``invocation_count``, ``bytes_moved`` and
-    the like) are not kept up to date; the ledger is.
+    via :meth:`extend`. Components keep no record beside the ledger, so
+    nothing goes stale when a charge bypasses them.
     """
 
     def __init__(self) -> None:

@@ -9,22 +9,9 @@ cost of a wake-up energy on the next invocation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.soc.component import ComponentGroup, HardwareComponent, PowerState
 from repro.soc.energy import EnergyMeter
 from repro.soc.power_profiles import IpProfile
-
-
-@dataclass(frozen=True)
-class IpInvocation:
-    """Result of one IP invocation: what it cost and how long it took."""
-
-    ip_name: str
-    work_units: float
-    bytes_moved: int
-    energy_joules: float
-    seconds: float
 
 
 class IpBlock(HardwareComponent):
@@ -40,23 +27,11 @@ class IpBlock(HardwareComponent):
             wake_energy_joules=profile.wake_energy_joules,
         )
         self._profile = profile
-        self._invocations = 0
-        self._work_units = 0.0
 
     @property
     def profile(self) -> IpProfile:
         """The constant set this block was built with."""
         return self._profile
-
-    @property
-    def invocation_count(self) -> int:
-        """How many times this block has been invoked."""
-        return self._invocations
-
-    @property
-    def total_work_units(self) -> float:
-        """Total work units processed across all invocations."""
-        return self._work_units
 
     def invoke(
         self,
@@ -64,38 +39,19 @@ class IpBlock(HardwareComponent):
         bytes_in: int = 0,
         bytes_out: int = 0,
         tag: str = "event",
-    ) -> IpInvocation:
+    ) -> None:
         """Run one offloaded task on this IP block.
 
         Wakes the block if it was sleeping (charging wake energy under
-        the same ``tag``), charges setup + work + data-movement energy,
-        and returns an :class:`IpInvocation` record.
+        the same ``tag``), then charges setup + work + data-movement
+        energy while the block is ACTIVE.
         """
-        if work_units < 0:
-            raise ValueError(f"{self.name!r}: negative work units {work_units}")
-        if bytes_in < 0 or bytes_out < 0:
-            raise ValueError(f"{self.name!r}: negative byte counts")
+        energy = self.energy_for(work_units, bytes_in=bytes_in, bytes_out=bytes_out)
         self.wake(tag=tag)
         if self.state == PowerState.IDLE:
             self.transition(PowerState.ACTIVE, tag=tag)
-        bytes_moved = bytes_in + bytes_out
-        energy = (
-            self._profile.setup_energy_joules
-            + work_units * self._profile.energy_per_work_unit
-            + bytes_moved * self._profile.energy_per_byte
-        )
-        seconds = work_units / self._profile.work_rate_per_second if work_units else 0.0
         self.charge(energy, tag=tag)
         self.transition(PowerState.IDLE, tag=tag)
-        self._invocations += 1
-        self._work_units += work_units
-        return IpInvocation(
-            ip_name=self.name,
-            work_units=work_units,
-            bytes_moved=bytes_moved,
-            energy_joules=energy,
-            seconds=seconds,
-        )
 
     def energy_for(self, work_units: float, bytes_in: int = 0, bytes_out: int = 0) -> float:
         """Energy that :meth:`invoke` would charge, without charging it."""

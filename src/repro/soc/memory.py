@@ -25,27 +25,15 @@ class Memory(HardwareComponent):
             sleep_power_watts=profile.sleep_power_watts,
         )
         self._profile = profile
-        self._bytes_moved = 0
 
     @property
     def profile(self) -> MemoryProfile:
         """The constant set this channel was built with."""
         return self._profile
 
-    @property
-    def bytes_moved(self) -> int:
-        """Total bytes transferred so far."""
-        return self._bytes_moved
-
-    def transfer(self, num_bytes: int, tag: str = "event") -> float:
-        """Move ``num_bytes`` through the channel; returns wall time."""
-        if num_bytes < 0:
-            raise ValueError(f"negative transfer size: {num_bytes}")
-        if num_bytes == 0:
-            return 0.0
-        self.charge(num_bytes * self._profile.energy_per_byte, tag=tag)
-        self._bytes_moved += num_bytes
-        return num_bytes / self._profile.bandwidth_bytes_per_second
+    def transfer(self, num_bytes: int, tag: str = "event") -> None:
+        """Move ``num_bytes`` through the channel, charging per byte."""
+        self.charge(self.energy_for(num_bytes), tag=tag)
 
     def energy_for(self, num_bytes: int) -> float:
         """Energy that :meth:`transfer` would charge, without charging."""

@@ -21,8 +21,6 @@ from repro.units import MICRO, MILLI, NANO
 class CpuProfile:
     """CPU cluster constants (Kryo-like 2+2 big.LITTLE)."""
 
-    big_freq_hz: float = 2.15e9
-    little_freq_hz: float = 1.6e9
     big_energy_per_cycle: float = 0.90 * NANO
     little_energy_per_cycle: float = 0.25 * NANO
     idle_power_watts: float = 0.08
@@ -40,7 +38,6 @@ class IpProfile:
     idle_power_watts: float
     sleep_power_watts: float
     wake_energy_joules: float
-    work_rate_per_second: float  # work units processed per second
 
 
 @dataclass(frozen=True)
@@ -50,7 +47,6 @@ class MemoryProfile:
     energy_per_byte: float = 0.12 * NANO
     idle_power_watts: float = 0.055
     sleep_power_watts: float = 0.012
-    bandwidth_bytes_per_second: float = 12e9
 
 
 @dataclass(frozen=True)
@@ -95,7 +91,6 @@ def pixel_xl_profiles() -> PowerProfiles:
             idle_power_watts=0.04,
             sleep_power_watts=0.004,
             wake_energy_joules=250 * MICRO,
-            work_rate_per_second=8000.0,
         ),
         display=IpProfile(
             setup_energy_joules=10 * MICRO,
@@ -104,7 +99,6 @@ def pixel_xl_profiles() -> PowerProfiles:
             idle_power_watts=0.25,  # panel self-refresh floor while on
             sleep_power_watts=0.01,
             wake_energy_joules=2 * MILLI,
-            work_rate_per_second=60.0,
         ),
         video_codec=IpProfile(
             setup_energy_joules=30 * MICRO,
@@ -113,7 +107,6 @@ def pixel_xl_profiles() -> PowerProfiles:
             idle_power_watts=0.015,
             sleep_power_watts=0.002,
             wake_energy_joules=120 * MICRO,
-            work_rate_per_second=120.0,
         ),
         audio_codec=IpProfile(
             setup_energy_joules=8 * MICRO,
@@ -122,7 +115,6 @@ def pixel_xl_profiles() -> PowerProfiles:
             idle_power_watts=0.010,
             sleep_power_watts=0.001,
             wake_energy_joules=40 * MICRO,
-            work_rate_per_second=200.0,
         ),
         isp=IpProfile(
             setup_energy_joules=50 * MICRO,
@@ -131,7 +123,6 @@ def pixel_xl_profiles() -> PowerProfiles:
             idle_power_watts=0.02,
             sleep_power_watts=0.002,
             wake_energy_joules=300 * MICRO,
-            work_rate_per_second=30.0,
         ),
         dsp=IpProfile(
             setup_energy_joules=15 * MICRO,
@@ -140,7 +131,6 @@ def pixel_xl_profiles() -> PowerProfiles:
             idle_power_watts=0.012,
             sleep_power_watts=0.001,
             wake_energy_joules=60 * MICRO,
-            work_rate_per_second=500.0,
         ),
         sensor_hub=IpProfile(
             setup_energy_joules=1 * MICRO,
@@ -149,7 +139,6 @@ def pixel_xl_profiles() -> PowerProfiles:
             idle_power_watts=0.006,
             sleep_power_watts=0.001,
             wake_energy_joules=5 * MICRO,
-            work_rate_per_second=2000.0,
         ),
         memory=MemoryProfile(),
         touch=SensorProfile(sample_energy_joules=2 * MICRO, idle_power_watts=0.004),

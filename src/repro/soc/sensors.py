@@ -26,25 +26,16 @@ class Sensor(HardwareComponent):
             idle_power_watts=profile.idle_power_watts,
         )
         self._profile = profile
-        self._samples = 0
 
     @property
     def profile(self) -> SensorProfile:
         """The constant set this sensor was built with."""
         return self._profile
 
-    @property
-    def sample_count(self) -> int:
-        """Total samples taken so far."""
-        return self._samples
-
-    def sample(self, tag: str = "event") -> float:
-        """Take one reading; returns the energy charged."""
+    def sample(self, tag: str = "event") -> None:
+        """Take one reading, charging the per-sample energy."""
         self.wake(tag=tag)
-        energy = self._profile.sample_energy_joules
-        self.charge(energy, tag=tag)
-        self._samples += 1
-        return energy
+        self.charge(self._profile.sample_energy_joules, tag=tag)
 
 
 class TouchPanel(Sensor):

@@ -261,9 +261,9 @@ class Soc:
 
         On a columnar SoC with the cluster IDLE, the energy
         :meth:`CpuCluster.energy_for` prices goes straight into the
-        meter's columns and the cycle counters stay as they were.
-        Otherwise — a plain meter, or a cluster asleep that must be
-        woken and charged for it — the cluster executes as usual.
+        meter's columns. Otherwise — a plain meter, or a cluster asleep
+        that must be woken and charged for it — the cluster executes as
+        usual.
         """
         cpu = self.cpu
         if self._ledger is not None and cpu.state is PowerState.IDLE:
@@ -274,8 +274,8 @@ class Soc:
     def charge_transfer(self, num_bytes: int, tag: str = TAG_EVENT) -> None:
         """Charge a DRAM transfer, as :meth:`Memory.transfer` does.
 
-        Direct on a columnar SoC while the channel is IDLE (``bytes_moved``
-        is not updated), through the channel otherwise.
+        Direct on a columnar SoC while the channel is IDLE, through the
+        channel otherwise.
         """
         memory = self.memory
         if self._ledger is not None and memory.state is PowerState.IDLE:
@@ -295,8 +295,8 @@ class Soc:
 
         Direct on a columnar SoC while the block is IDLE, where
         ``invoke`` would neither wake it nor charge anything but the
-        invocation (``invocation_count`` is not updated); a sleeping
-        block is invoked as usual, paying its wake-up.
+        invocation; a sleeping block is invoked as usual, paying its
+        wake-up.
         """
         block = self.ip(ip_name)
         if self._ledger is not None and block.state is PowerState.IDLE:

@@ -11,10 +11,9 @@ from repro.android.dispatch import (
     charge_trace,
     charge_upkeep,
 )
-from repro.android.binder import Binder
+from repro.android.binder import BINDER_TRANSACTION_CYCLES
 from repro.android.events import EventType, make_frame_tick, make_gyro, make_touch
-from repro.android.sensor_hub import SensorHub
-from repro.android.sensor_manager import SensorManager
+from repro.android.sensor_manager import _SYNTHESIS_CYCLES
 from repro.games.registry import GAME_CONTENT_SEED, create_game, fresh_game
 from repro.soc.energy import ColumnarMeter
 from repro.soc.power_profiles import pixel_xl_profiles
@@ -23,33 +22,35 @@ from repro.users.tracegen import generate_trace
 
 
 @pytest.fixture()
-def pipeline():
-    soc = snapdragon_821()
-    return soc, SensorHub(soc), SensorManager(soc), Binder(soc)
+def soc():
+    return snapdragon_821()
 
 
 class TestDeliveryCosts:
-    def test_touch_cheaper_than_gyro(self, pipeline):
-        soc, hub, manager, binder = pipeline
-        charge_delivery(soc, hub, manager, binder, make_touch(1, 2))
+    def test_touch_cheaper_than_gyro(self, soc):
+        charge_delivery(soc, make_touch(1, 2))
         touch_cost = soc.meter.total_joules
         soc.meter.reset()
-        charge_delivery(soc, hub, manager, binder, make_gyro(0, 0, 0, 0))
+        charge_delivery(soc, make_gyro(0, 0, 0, 0))
         gyro_cost = soc.meter.total_joules
         assert gyro_cost > touch_cost  # 20 raw samples vs 2
 
-    def test_tick_delivery_is_cheapest(self, pipeline):
-        soc, hub, manager, binder = pipeline
-        charge_delivery(soc, hub, manager, binder, make_frame_tick())
+    def test_tick_delivery_is_cheapest(self, soc):
+        charge_delivery(soc, make_frame_tick())
         tick_cost = soc.meter.total_joules
         soc.meter.reset()
-        charge_delivery(soc, hub, manager, binder, make_touch(1, 2))
+        charge_delivery(soc, make_touch(1, 2))
         assert tick_cost < soc.meter.total_joules
 
-    def test_delivery_never_touches_big_cores(self, pipeline):
-        soc, hub, manager, binder = pipeline
-        charge_delivery(soc, hub, manager, binder, make_gyro(0, 0, 0, 0))
-        assert soc.cpu.big_cycles_executed == 0
+    def test_delivery_never_touches_big_cores(self, soc):
+        """Delivery's CPU joules are its little-core cycles' price:
+        synthesis over the 20-sample gyro burst, then the Binder hop."""
+        charge_delivery(soc, make_gyro(0, 0, 0, 0))
+        synthesis = _SYNTHESIS_CYCLES[EventType.GYRO] + 400 * 20
+        assert soc.meter.component_joules("cpu") == (
+            soc.cpu.energy_for(synthesis, big=False)
+            + soc.cpu.energy_for(BINDER_TRANSACTION_CYCLES, big=False)
+        )
 
 
 class TestUpkeepAccounting:
@@ -58,8 +59,11 @@ class TestUpkeepAccounting:
         game = create_game("candy_crush")
         cycles = charge_upkeep(soc, game, make_frame_tick())
         assert cycles == game.upkeep_cycles_for(EventType.FRAME_TICK)
-        assert soc.cpu.big_cycles_executed == cycles
-        assert soc.ip(IP_GPU).invocation_count == 1  # compositor pass
+        assert soc.meter.component_joules("cpu") == soc.cpu.energy_for(cycles, big=True)
+        # One compositor pass over a 128 KiB surface.
+        assert soc.meter.component_joules(IP_GPU) == soc.ip(IP_GPU).energy_for(
+            3.0, bytes_in=128 * 1024
+        )
 
     def test_upkeep_advances_engine(self):
         soc = snapdragon_821()
@@ -121,9 +125,8 @@ class TestDeliveryPatternProfiles:
         # without the profiles would already hold the wrong prices.
         poured(defaults)
         soc = snapdragon_821(profiles=custom)
-        hub, manager, binder = SensorHub(soc), SensorManager(soc), Binder(soc)
         game = create_game("candy_crush", seed=GAME_CONTENT_SEED)
         for event in events:
-            charge_delivery(soc, hub, manager, binder, event)
+            charge_delivery(soc, event)
             charge_upkeep(soc, game, event)
         assert pickle.dumps(poured(custom)) == pickle.dumps(soc.report())

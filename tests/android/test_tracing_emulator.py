@@ -86,8 +86,10 @@ class TestEmulator:
 
     def test_replay_does_not_mutate_template(self, ab_trace):
         game = create_game("ab_evolution", seed=GAME_CONTENT_SEED)
+        before = game.state.snapshot()
         Emulator(verify=False).replay(game, ab_trace)
-        assert game.events_processed == 0
+        assert game.state.snapshot() == before
+        assert game.screen == {}
 
     def test_records_carry_session_id(self, ab_trace):
         game = create_game("ab_evolution", seed=GAME_CONTENT_SEED)

@@ -1,5 +1,7 @@
 """Tests for the SNIP table, device runtime, profiler, and learning."""
 
+from collections import defaultdict
+
 import pytest
 
 from repro.android.events import EventType, make_frame_tick
@@ -43,6 +45,28 @@ class TestSnipTable:
         fields = ab_package.selection.fields_for(record.event_type)
         key = SnipTable.key_for_record(record, fields)
         assert len(key) == len(fields)
+
+
+class TestTableEntryMath:
+    def test_avg_cycles_is_mean_over_occurrences(self, ab_records, ab_package,
+                                                  snip_config):
+        table = SnipTable.build(ab_records, ab_package.selection, snip_config)
+        # Recompute one entry's mean by hand.
+        sums = defaultdict(list)
+        for record in ab_records:
+            fields = ab_package.selection.fields_for(record.event_type)
+            key = SnipTable.key_for_record(record, fields)
+            sums[(record.event_type, key)].append(record.trace.total_cycles)
+        checked = 0
+        for (event_type, key), cycles in sums.items():
+            entry = table.lookup(event_type, key)
+            if entry is None:
+                continue
+            assert entry.avg_cycles == pytest.approx(sum(cycles) / len(cycles))
+            checked += 1
+            if checked > 20:
+                break
+        assert checked > 0
 
 
 class TestSnipRuntime:

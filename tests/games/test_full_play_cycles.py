@@ -29,6 +29,11 @@ def tick(game, n=1, slot0=0):
     return last
 
 
+def extern_reads(trace):
+    """The names of the external assets one handler run fetched."""
+    return [read.name for read in trace.reads if read.name.startswith("extern:")]
+
+
 class TestAbEvolutionFullShot:
     def _launch(self, game, stretch=80):
         game.state.write("stretch", stretch)
@@ -47,10 +52,13 @@ class TestAbEvolutionFullShot:
 
     def test_level_up_after_all_birds(self):
         game = create_game("ab_evolution")
+        level_up = None
         for _ in range(ab_evolution.BIRDS_PER_LEVEL):
             self._launch(game)
             for _ in range(ab_evolution.FLIGHT_TICKS):
-                tick(game)
+                trace = tick(game)
+                if level_up is None and game.state.peek("level") > 1:
+                    level_up = trace
             if game.state.peek("level") > 1:
                 break
         assert game.state.peek("level") >= 2
@@ -61,8 +69,8 @@ class TestAbEvolutionFullShot:
         assert game.state.size_of("level_layout") == ab_evolution.layout_bytes(
             game.state.peek("level")
         )
-        # A network asset was fetched for the bundle.
-        assert game.extern_source.fetch_count >= 1
+        # The level-up event fetched the next level's bundle.
+        assert extern_reads(level_up) == ["extern:level_bundle_2"]
 
     def test_drags_resume_after_flight(self):
         game = create_game("ab_evolution")
@@ -76,7 +84,7 @@ class TestAbEvolutionFullShot:
 
 class TestCandyCrushLevelCycle:
     def _valid_swipe(self, game):
-        """Find and play one valid move; returns True on success."""
+        """Find and play one valid move; returns its trace, or None."""
         board = game.state.peek("board")
         for cell in range(64):
             row, col = divmod(cell, 8)
@@ -89,36 +97,35 @@ class TestCandyCrushLevelCycle:
                 # shift the tap into the neighbouring cell.
                 x = col * candy_crush.CELL_PX + 90
                 y = row * candy_crush.CELL_PX + 90
-                game.process(make_swipe(x, y, x + 180, y, 1600.0, 2, 100))
-                return True
-        return False
+                return game.process(make_swipe(x, y, x + 180, y, 1600.0, 2, 100))
+        return None
 
     def test_valid_move_starts_cascade_and_scores(self):
         game = create_game("candy_crush")
-        assert self._valid_swipe(game)
+        assert self._valid_swipe(game) is not None
         assert game.state.peek("score") > 0
         assert game.state.peek("cascade") == candy_crush.CASCADE_TICKS
         assert game.state.peek("moves_left") == candy_crush.MOVES_PER_LEVEL - 1
 
     def test_cascade_animation_drains(self):
         game = create_game("candy_crush")
-        assert self._valid_swipe(game)
+        assert self._valid_swipe(game) is not None
         tick(game, n=candy_crush.CASCADE_TICKS)
         assert game.state.peek("cascade") == 0
 
     def test_level_up_fetches_assets(self):
         game = create_game("candy_crush")
         game.state.write("moves_left", 1)
-        played = False
+        played = None
         for _ in range(40):  # boards occasionally lack an easy move
-            if self._valid_swipe(game):
-                played = True
+            played = self._valid_swipe(game)
+            if played is not None:
                 break
             tick(game)
-        assert played
+        assert played is not None
         assert game.state.peek("level") == 2
         assert game.state.peek("moves_left") == candy_crush.MOVES_PER_LEVEL
-        assert game.extern_source.fetch_count == 1
+        assert extern_reads(played) == ["extern:level_assets_2"]
 
 
 class TestMemoryGameLevelCycle:

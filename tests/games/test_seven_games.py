@@ -12,7 +12,15 @@ from repro.android.events import (
 )
 from repro.games import ab_evolution, candy_crush, chase_whisply
 from repro.games import greenwall, memory_game, race_kings
-from repro.games.registry import GAME_NAMES, GAMES, create_game, game_info
+from repro.games.registry import (
+    _TEMPLATE_CACHE,
+    GAME_CONTENT_SEED,
+    GAME_NAMES,
+    GAMES,
+    create_game,
+    fresh_game,
+    game_info,
+)
 from repro.errors import UnknownGameError
 
 
@@ -33,6 +41,20 @@ class TestRegistry:
     def test_unknown_game_rejected(self):
         with pytest.raises(UnknownGameError):
             game_info("tetris")
+
+    def test_every_game_is_template_cloned(self):
+        """``fresh_game`` clones every catalogue game from a template.
+
+        A game whose constructor sets an attribute outside the base set
+        would fall back to ``create_game`` for every session: the same
+        bytes, but slower sessions, so only this test would notice.
+        """
+        for name in GAME_NAMES:
+            game = fresh_game(name, seed=GAME_CONTENT_SEED)
+            clone = fresh_game(name, seed=GAME_CONTENT_SEED)
+            assert _TEMPLATE_CACHE[(name, GAME_CONTENT_SEED)] is not None, name
+            assert set(clone.__dict__) == set(game.__dict__), name
+            assert clone.state.snapshot() == game.state.snapshot(), name
 
     def test_categories_match_paper(self):
         assert game_info("colorphun").category == "simple touch"

@@ -323,3 +323,70 @@ class TestSetTypedLocals:
             rules=["det-set-iter"],
         )
         assert result.findings == []
+
+
+class TestSortedConsumer:
+    """A comprehension whose only consumer is ``sorted(...)`` cannot
+    carry its iteration order into the result; with ``key=`` it can,
+    because ``sorted`` keeps equal-key elements in iteration order."""
+
+    FIXTURE = """
+        import os
+
+        class Accumulator:
+            def update(self, shard):
+                self.kinds = sorted(k for k in {d.kind for d in shard.devices})
+
+            def finalize(self, root):
+                return sorted(n for n in os.listdir(root))
+    """
+
+    def test_sorted_comprehensions_in_fold_path_are_clean(self, lint_tree):
+        result = lint_tree(
+            {"fleet/reducers.py": self.FIXTURE},
+            rules=["det-set-iter", "det-taint"],
+        )
+        assert result.findings == []
+
+    def test_sorted_with_key_is_still_reported(self, lint_tree):
+        result = lint_tree(
+            {
+                "fleet/reducers.py": """
+                    import os
+
+                    class Accumulator:
+                        def update(self, shard):
+                            self.kinds = sorted(
+                                (k for k in {d.kind for d in shard.devices}),
+                                key=len,
+                            )
+
+                        def finalize(self, root):
+                            return sorted([n for n in os.listdir(root)], key=len)
+                """,
+            },
+            rules=["det-set-iter", "det-taint"],
+        )
+        assert rule_ids(result) == ["det-set-iter", "det-taint-order", "det-taint-order"]
+
+    def test_comprehension_inside_the_element_is_still_reported(self, lint_snippet):
+        result = lint_snippet(
+            """
+            def groups(rows):
+                return sorted(tuple(x for x in {r for r in row}) for row in rows)
+            """,
+            rules=["det-set-iter"],
+        )
+        assert rule_ids(result) == ["det-set-iter"]
+
+    def test_shadowed_sorted_is_still_reported(self, lint_snippet):
+        result = lint_snippet(
+            """
+            from ordering import sorted
+
+            def kinds(devices):
+                return sorted(k for k in {d.kind for d in devices})
+            """,
+            rules=["det-set-iter"],
+        )
+        assert rule_ids(result) == ["det-set-iter"]

@@ -106,6 +106,14 @@ class TestNoOverheads:
     def test_no_lookup_energy(self, runs):
         assert runs["no_overheads"].lookup_overhead_fraction == 0.0
 
+    def test_takes_every_snip_scheme_parameter(self):
+        scheme = NoOverheadsScheme(
+            cache=None, profile_seeds=(1,), profile_duration_s=5.0
+        )
+        assert scheme.cache is None
+        package = scheme.prepare("colorphun")
+        assert package.table.entry_count > 0
+
 
 class TestOrdering:
     def test_paper_scheme_ordering(self, runs):

@@ -45,7 +45,6 @@ class TestPowerStates:
         assert component.state is PowerState.SLEEP
         component.wake()
         assert component.state is PowerState.IDLE
-        assert component.wake_count == 1
         assert meter.total_joules == pytest.approx(0.005)
 
     def test_illegal_transition_rejected(self, meter):
@@ -57,7 +56,8 @@ class TestPowerStates:
     def test_transition_to_same_state_is_noop(self, meter):
         component = make_component(meter)
         component.transition(PowerState.IDLE)
-        assert component.wake_count == 0
+        assert component.state is PowerState.IDLE
+        assert meter.total_joules == 0.0
 
     def test_sleep_power_must_not_exceed_idle(self, meter):
         with pytest.raises(ValueError):
@@ -71,21 +71,23 @@ class TestPowerStates:
 class TestBackgroundPower:
     def test_idle_accrual(self, meter):
         component = make_component(meter)
-        charged = component.accrue_background(10.0)
-        assert charged == pytest.approx(1.0)
+        component.accrue_background(10.0)
+        assert meter.total_joules == pytest.approx(1.0)
 
     def test_sleep_accrual_is_cheaper(self, meter):
         component = make_component(meter)
         component.sleep()
         meter.reset()
-        assert component.accrue_background(10.0) == pytest.approx(0.1)
+        component.accrue_background(10.0)
+        assert meter.total_joules == pytest.approx(0.1)
 
     def test_off_accrues_nothing(self, meter):
         component = make_component(meter)
         component.sleep()
         component.transition(PowerState.OFF)
         meter.reset()
-        assert component.accrue_background(10.0) == 0.0
+        component.accrue_background(10.0)
+        assert meter.total_joules == 0.0
 
     def test_negative_interval_rejected(self, meter):
         with pytest.raises(ValueError):
@@ -103,22 +105,9 @@ class TestCpuCluster:
         cpu = CpuCluster(meter, profiles.cpu)
         assert cpu.energy_for(1_000, big=False) < cpu.energy_for(1_000, big=True)
 
-    def test_execute_returns_wall_time(self, meter, profiles):
-        cpu = CpuCluster(meter, profiles.cpu)
-        seconds = cpu.execute(int(profiles.cpu.big_freq_hz), big=True)
-        assert seconds == pytest.approx(1.0)
-
-    def test_cycle_counters(self, meter, profiles):
-        cpu = CpuCluster(meter, profiles.cpu)
-        cpu.execute(100, big=True)
-        cpu.execute(50, big=False)
-        assert cpu.big_cycles_executed == 100
-        assert cpu.little_cycles_executed == 50
-        assert cpu.total_cycles_executed == 150
-
     def test_zero_cycles_free(self, meter, profiles):
         cpu = CpuCluster(meter, profiles.cpu)
-        assert cpu.execute(0) == 0.0
+        cpu.execute(0)
         assert meter.total_joules == 0.0
 
     def test_negative_cycles_rejected(self, meter, profiles):
@@ -132,19 +121,26 @@ class TestCpuCluster:
 class TestIpBlock:
     def test_invoke_charges_setup_plus_work(self, meter, profiles):
         gpu = Gpu("gpu", meter, profiles.gpu)
-        invocation = gpu.invoke(2.0, bytes_in=1000)
+        gpu.invoke(2.0, bytes_in=1000)
         expected = (
             profiles.gpu.setup_energy_joules
             + 2.0 * profiles.gpu.energy_per_work_unit
             + 1000 * profiles.gpu.energy_per_byte
         )
-        assert invocation.energy_joules == pytest.approx(expected)
         assert meter.component_joules("gpu") == pytest.approx(expected)
 
     def test_energy_for_matches_invoke(self, meter, profiles):
         gpu = Gpu("gpu", meter, profiles.gpu)
-        assert gpu.energy_for(3.0, bytes_in=10, bytes_out=20) == pytest.approx(
-            gpu.invoke(3.0, bytes_in=10, bytes_out=20).energy_joules
+        gpu.invoke(3.0, bytes_in=10, bytes_out=20)
+        assert gpu.energy_for(3.0, bytes_in=10, bytes_out=20) == meter.component_joules(
+            "gpu"
+        )
+
+    def test_zero_work_invocation_pays_setup_and_bytes(self, meter, profiles):
+        gpu = Gpu("gpu", meter, profiles.gpu)
+        gpu.invoke(0.0, bytes_in=1000)
+        assert meter.component_joules("gpu") == pytest.approx(
+            profiles.gpu.setup_energy_joules + 1000 * profiles.gpu.energy_per_byte
         )
 
     def test_invoke_wakes_sleeping_block(self, meter, profiles):
@@ -152,15 +148,9 @@ class TestIpBlock:
         gpu.sleep()
         meter.reset()
         gpu.invoke(1.0)
-        assert gpu.wake_count == 1
-        assert meter.component_joules("gpu") > gpu.energy_for(1.0)
-
-    def test_invocation_counters(self, meter, profiles):
-        gpu = Gpu("gpu", meter, profiles.gpu)
-        gpu.invoke(1.5)
-        gpu.invoke(2.5)
-        assert gpu.invocation_count == 2
-        assert gpu.total_work_units == pytest.approx(4.0)
+        assert meter.component_joules("gpu") == pytest.approx(
+            profiles.gpu.wake_energy_joules + gpu.energy_for(1.0)
+        )
 
     def test_block_returns_to_idle(self, meter, profiles):
         gpu = Gpu("gpu", meter, profiles.gpu)
@@ -186,12 +176,9 @@ class TestMemory:
         memory = Memory(meter, profiles.memory)
         memory.transfer(100)
         memory.transfer(200)
-        assert memory.bytes_moved == 300
-
-    def test_transfer_time_from_bandwidth(self, meter, profiles):
-        memory = Memory(meter, profiles.memory)
-        seconds = memory.transfer(int(profiles.memory.bandwidth_bytes_per_second))
-        assert seconds == pytest.approx(1.0)
+        assert meter.component_joules("dram") == pytest.approx(
+            300 * profiles.memory.energy_per_byte
+        )
 
     def test_negative_transfer_rejected(self, meter, profiles):
         memory = Memory(meter, profiles.memory)
@@ -202,9 +189,8 @@ class TestMemory:
 class TestSensor:
     def test_sample_charges_fixed_energy(self, meter, profiles):
         touch = TouchPanel("touch", meter, profiles.touch)
-        energy = touch.sample()
-        assert energy == pytest.approx(profiles.touch.sample_energy_joules)
-        assert touch.sample_count == 1
+        touch.sample()
+        assert meter.component_joules("touch") == profiles.touch.sample_energy_joules
 
     def test_sensor_group(self, meter, profiles):
         touch = TouchPanel("touch", meter, profiles.touch)

@@ -14,9 +14,6 @@ class TestCalibrationInvariants:
     def test_big_cores_cost_more_per_cycle(self, profiles):
         assert profiles.cpu.big_energy_per_cycle > profiles.cpu.little_energy_per_cycle
 
-    def test_big_cores_are_faster(self, profiles):
-        assert profiles.cpu.big_freq_hz > profiles.cpu.little_freq_hz
-
     def test_sleep_cheaper_than_idle_everywhere(self, profiles):
         for name in ("gpu", "display", "video_codec", "audio_codec", "isp",
                      "dsp", "sensor_hub"):
@@ -51,6 +48,3 @@ class TestCalibrationInvariants:
         frame_s = 1.0 / 60.0
         assert profiles.gpu.idle_power_watts * frame_s > \
             profiles.gpu.wake_energy_joules
-
-    def test_memory_bandwidth_plausible(self, profiles):
-        assert 1e9 < profiles.memory.bandwidth_bytes_per_second < 1e11
